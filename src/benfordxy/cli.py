@@ -1,17 +1,19 @@
 """Command-line front end for the Benford violation pipeline.
 
-Subcommands:
-  observables  dump (lambda, value) rows of an observable curve
-  profile      sliding-window violation profile (CSV + metadata sidecar)
-  scaling      per-N pseudo-critical points and the scaling exponent q
-  table1       the 4x4 exponent table (M_z under md/sd/bd, T_xx under md)
-  benford      digit-conformance report for a numeric file
+The subcommands are the keys of `COMMANDS` (`benfordxy --help` lists them
+with their help): observable curves, violation profiles, pseudo-critical
+points with the scaling exponent q, the 4x4 exponent table, and a digit
+report for a numeric file.
 
-Configuration comes from defaults, then an optional `--config FILE` of
-flat `key = value` lines, then a resolution preset (`--coarse`/`--full`),
-then explicit flags; later sources win.  A profile run writes a metadata
-sidecar that parses back as a config file and reproduces the run
-byte-identically.
+Every setting is a field of `RunConfig`, which is the one table of
+settings: each field's metadata holds its parser, help and argparse
+extras, and the table yields both the `--flag` (the field name with `_`
+turned into `-`) and the config-file key (the field name).  Configuration
+comes from defaults, then an optional `--config FILE` of flat
+`key = value` lines, then a resolution preset (`--coarse` or `--full`, a
+mutually exclusive pair), then explicit flags; later sources win.  A
+profile run writes a metadata sidecar that parses back as a config file
+and reproduces the run byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O failure.
 Every failure prints a single diagnostic line `error[<class>]: message`
@@ -57,6 +59,13 @@ COARSE_N = 10000
 FULL_EPSILON = 5e-5
 SCALING_SIZES = (14, 20, 24, 30, 34, 40)
 
+# resolution presets: setting overrides applied between the config file and
+# the flags; n = None means the converged n of each digit depth
+PRESETS = {
+    "coarse": {"epsilon": COARSE_EPSILON, "n": COARSE_N},
+    "full": {"epsilon": FULL_EPSILON, "n": None},
+}
+
 
 class UsageError(Exception):
     """Bad flags, flag combinations, or config values."""
@@ -64,46 +73,6 @@ class UsageError(Exception):
 
 class InputFormatError(Exception):
     """A data or config file exists but its content cannot be parsed."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one CLI run."""
-
-    observable: str = "mz"
-    gamma: float = 0.5
-    beta_tilde: float = math.inf
-    n_sites: tuple = ()  # empty = per-command default
-    a: float = 0.5
-    b: float = 1.5
-    w: float = 0.05
-    epsilon: float = COARSE_EPSILON
-    n: int | None = COARSE_N
-    auto_n: bool = False
-    k: int = 1
-    distance: str = "md"
-    fit_window: tuple | None = None  # None = adaptive feature window
-    scaling_mode: str = "fixed"
-    lambda_c: float = 1.0
-    out: str = "."
-    jobs: int = 0  # 0 = all available cores
-    preset: str | None = None
-    emit_plot: bool = False
-
-    def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else default_jobs()
-
-    def resolved_n(self, k: int) -> int | None:
-        if self.auto_n:
-            return None
-        if self.n is not None:
-            return self.n
-        if self.preset == "full":
-            return CONVERGED_N[k]
-        return COARSE_N
-
-    def sizes_or(self, default) -> tuple:
-        return self.n_sites if self.n_sites else tuple(default)
 
 
 def _parse_bool(text: str) -> bool:
@@ -115,46 +84,80 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_sites(text) -> tuple:
-    """Sizes from flag repeats or a config value; 'inf' means N = infinity."""
-    if isinstance(text, str):
-        text = [text]
-    sites = []
-    for chunk in text:
-        for tok in chunk.replace(",", " ").split():
-            sites.append(None if tok.lower() in ("inf", "infinity") else int(tok))
-    return tuple(sites)
+def _parse_sites(text: str) -> tuple:
+    """Sizes separated by commas or blanks; 'inf' means N = infinity."""
+    try:
+        return tuple(
+            None if tok.lower() in ("inf", "infinity") else int(tok)
+            for tok in text.replace(",", " ").split()
+        )
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"system sizes must be integers or 'inf', got {text!r}"
+        ) from None
 
 
 def _parse_fit_window(text: str):
     if text.strip().lower() == "auto":
         return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"fit window must be 'LO,HI' or 'auto', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        lo, hi = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"fit window must be 'LO,HI' or 'auto', got {text!r}"
+        ) from None
+    return (lo, hi)
 
 
-_CONFIG_PARSERS = {
-    "observable": str,
-    "gamma": float,
-    "beta_tilde": float,
-    "n_sites": _parse_sites,
-    "a": float,
-    "b": float,
-    "w": float,
-    "epsilon": float,
-    "n": int,
-    "auto_n": _parse_bool,
-    "k": int,
-    "distance": str,
-    "fit_window": _parse_fit_window,
-    "scaling_mode": str,
-    "lambda_c": float,
-    "out": str,
-    "jobs": int,
-    "emit_plot": _parse_bool,
-}
+def _setting(default, parse, help, **argparse_extras):
+    """A RunConfig field: its default, the parser of its flag and config
+    value, its help, and any further `add_argument` keywords."""
+    return dataclasses.field(
+        default=default, metadata={"parse": parse, "help": help, **argparse_extras}
+    )
+
+
+@dataclass
+class RunConfig:
+    """Resolved settings for one CLI run, and the one table of CLI settings."""
+
+    observable: str = _setting("mz", str, "mz | txx | tyy | tzz | g:R")
+    gamma: float = _setting(0.5, float, "anisotropy gamma")
+    beta_tilde: float = _setting(math.inf, float, "reduced inverse temperature")
+    n_sites: tuple = _setting(  # empty = per-command default
+        (), _parse_sites, "system size; repeatable; 'inf' for the thermodynamic limit",
+        action="extend", metavar="N")
+    a: float = _setting(0.5, float, "start of the field sweep")
+    b: float = _setting(1.5, float, "end of the field sweep")
+    w: float = _setting(0.05, float, "window width")
+    epsilon: float = _setting(COARSE_EPSILON, float, "window shift")
+    n: int | None = _setting(COARSE_N, int, "samples per window (or grid points)")
+    auto_n: bool = _setting(False, _parse_bool, "pick n by a doubling convergence check",
+                            action="store_true")
+    k: int = _setting(1, int, "digit depth", choices=(1, 2, 3, 4))
+    distance: str = _setting("md", str, "distance from the Benford law",
+                             choices=tuple(benford.DISTANCES))
+    fit_window: tuple | None = _setting(  # None = adaptive feature window
+        None, _parse_fit_window, "cubic fit window", metavar="LO,HI|auto")
+    scaling_mode: str = _setting("fixed", str, "fit lambda_c or hold it",
+                                 choices=("fixed", "free"))
+    lambda_c: float = _setting(1.0, float, "lambda_c held by the fixed-mode fit")
+    out: str = _setting(".", str, "output directory")
+    jobs: int = _setting(0, int, "parallel workers (0: all cores)")
+    emit_plot: bool = _setting(False, _parse_bool, "also write a gnuplot script",
+                               action="store_true")
+
+    def resolved_jobs(self) -> int:
+        return self.jobs if self.jobs > 0 else default_jobs()
+
+    def resolved_n(self, k: int) -> int:
+        return CONVERGED_N[k] if self.n is None else self.n
+
+    def sizes_or(self, default) -> tuple:
+        return tuple(self.n_sites or default)
+
+
+SETTINGS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)}
 
 
 def read_config_file(path: str) -> dict:
@@ -169,11 +172,11 @@ def read_config_file(path: str) -> dict:
             key = key.strip()
             if not sep or not key:
                 raise InputFormatError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _CONFIG_PARSERS:
+            if key not in SETTINGS:
                 raise InputFormatError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_PARSERS[key](val.strip())
-            except ValueError as exc:
+                values[key] = SETTINGS[key]["parse"](val.strip())
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
     return values
 
@@ -183,90 +186,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_settings(sp):
+    """--config, the preset group and one flag per RunConfig field; a flag
+    that is not given leaves no attribute, so config values stand."""
+    sp.add_argument("--config", help="flat key = value config file")
+    presets = sp.add_mutually_exclusive_group()
+    for name, values in PRESETS.items():
+        desc = ", ".join(f"{key} {'converged per k' if v is None else v}"
+                         for key, v in values.items())
+        presets.add_argument(f"--{name}", action="store_const", const=name, dest="preset",
+                             help=f"resolution preset: {desc}")
+    for name, meta in SETTINGS.items():
+        extras = {key: val for key, val in meta.items() if key != "parse"}
+        if extras.get("action") != "store_true":
+            extras["type"] = meta["parse"]
+        sp.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS, **extras)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="benfordxy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(sp):
-        sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--observable", help="mz | txx | tyy | tzz | g:R")
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--beta-tilde", type=float, dest="beta_tilde")
-        sp.add_argument("--n-sites", action="append", dest="n_sites", metavar="N",
-                        help="system size; repeatable; 'inf' for the thermodynamic limit")
-        sp.add_argument("--k", type=int, help="digit depth 1..4")
-        sp.add_argument("--distance", choices=("md", "sd", "bd"))
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--b", type=float)
-        sp.add_argument("--w", type=float)
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--n", type=int, help="samples per window (or grid points)")
-        sp.add_argument("--auto-n", action="store_true", dest="auto_n", default=None,
-                        help="pick n by the doubling convergence check")
-        sp.add_argument("--fit-window", dest="fit_window", metavar="LO,HI|auto")
-        sp.add_argument("--scaling-mode", choices=("fixed", "free"), dest="scaling_mode")
-        sp.add_argument("--lambda-c", type=float, dest="lambda_c")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--jobs", type=int, help="parallel workers (default: all cores)")
-        sp.add_argument("--coarse", action="store_true", default=None,
-                        help="desk-scale preset: epsilon 1e-3, n 1e4")
-        sp.add_argument("--full", action="store_true", default=None,
-                        help="paper-scale preset: epsilon 5e-5, converged n per k")
-        sp.add_argument("--emit-plot", action="store_true", dest="emit_plot", default=None)
-
-    for name, helptext in (
-        ("observables", "dump (lambda, value) rows over a grid"),
-        ("profile", "violation profile over sliding windows"),
-        ("scaling", "pseudo-critical points and scaling exponent"),
-        ("table1", "4x4 exponent table over k and distances"),
-        ("benford", "digit-conformance report for a numeric file"),
-    ):
+    for name, (_, helptext, positionals) in COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
-        if name == "benford":
-            sp.add_argument("path", help="file of one number per line")
-        common(sp)
+        for pos, pos_help in positionals:
+            sp.add_argument(pos, help=pos_help)
+        _add_settings(sp)
     return parser
 
 
 def resolve_config(args) -> RunConfig:
-    values = dataclasses.asdict(RunConfig())
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    if getattr(args, "coarse", None) and getattr(args, "full", None):
-        raise UsageError("--coarse and --full are mutually exclusive")
-    if getattr(args, "coarse", None):
-        values.update(preset="coarse", epsilon=COARSE_EPSILON, n=COARSE_N)
-    if getattr(args, "full", None):
-        values.update(preset="full", epsilon=FULL_EPSILON, n=None)
-    explicit_n = False
-    for key in _CONFIG_PARSERS:
-        flag = getattr(args, key, None)
-        if flag is None:
-            continue
-        if key == "n_sites":
-            values[key] = _parse_sites(flag)
-        elif key == "fit_window":
-            try:
-                values[key] = _parse_fit_window(flag)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        else:
-            values[key] = flag
-        if key == "n":
-            explicit_n = True
-    if values["auto_n"]:
-        if explicit_n:
+    values = read_config_file(args.config) if args.config else {}
+    values.update(PRESETS.get(args.preset, {}))
+    flags = {name: getattr(args, name) for name in SETTINGS if hasattr(args, name)}
+    values.update(flags)
+    if values.get("auto_n"):
+        if "n" in flags:
             raise UsageError("--n and --auto-n are mutually exclusive")
         values["n"] = None
+    cfg = RunConfig(**values)
+    for name, meta in SETTINGS.items():
+        val = getattr(cfg, name)
+        if "choices" in meta and val not in meta["choices"]:
+            raise UsageError(f"{name} must be one of {meta['choices']}, got {val!r}")
+    if cfg.jobs < 0:
+        raise UsageError(f"jobs must be >= 0 (0 = all cores), got {cfg.jobs}")
     try:
-        cfg = RunConfig(**values)
         ObservableKind.parse(cfg.observable)  # validate early
-        if cfg.k not in (1, 2, 3, 4):
-            raise ValueError(f"digit depth must be 1..4, got {cfg.k}")
-        if cfg.distance not in ("md", "sd", "bd"):
-            raise ValueError(f"unknown distance {cfg.distance!r}")
-        if cfg.scaling_mode not in ("fixed", "free"):
-            raise ValueError(f"unknown scaling mode {cfg.scaling_mode!r}")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg
@@ -321,14 +286,15 @@ def cmd_profile(cfg: RunConfig) -> int:
     if len(sizes) != 1:
         raise UsageError("profile takes exactly one --n-sites value")
     curve = _curve(cfg, sizes[0])
-    n = cfg.resolved_n(cfg.k)
-    if n is None:
+    if cfg.auto_n:
         probe = WindowSpec(cfg.a, cfg.b, cfg.w, cfg.epsilon, COARSE_N)
         res = convergence_check(
             curve, probe, cfg.k, cfg.distance, jobs=cfg.resolved_jobs()
         )
         print(f"auto-n: converged at n = {res.n} (deviation {res.deviation:.3g})")
         n = res.n
+    else:
+        n = cfg.resolved_n(cfg.k)
     spec = WindowSpec(cfg.a, cfg.b, cfg.w, cfg.epsilon, n)
     prof = profile_windows(curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs())
     csv_path = _outpath(cfg, "profile.csv")
@@ -341,6 +307,25 @@ def cmd_profile(cfg: RunConfig) -> int:
         )
         _write(_outpath(cfg, "profile.gp"), script)
     return EXIT_OK
+
+
+def _scaling_sizes(cfg: RunConfig) -> tuple:
+    """The sizes a scaling fit runs over, checked before any profile is
+    computed: finite, distinct and enough for the fit mode."""
+    if cfg.auto_n:
+        raise UsageError("--auto-n applies to profile only; give --n or a preset")
+    sizes = cfg.sizes_or(SCALING_SIZES)
+    if None in sizes:
+        raise UsageError("scaling needs finite system sizes")
+    if len(set(sizes)) != len(sizes):
+        raise UsageError(f"scaling needs distinct system sizes, got {sizes}")
+    need = 4 if cfg.scaling_mode == "free" else 3
+    if len(sizes) < need:
+        raise UsageError(
+            f"{cfg.scaling_mode}-mode scaling needs >= {need} system sizes, "
+            f"got {len(sizes)}"
+        )
+    return sizes
 
 
 def _pseudo_criticals(cfg: RunConfig, kind_name, sizes, ks, distances):
@@ -370,11 +355,7 @@ def _pseudo_criticals(cfg: RunConfig, kind_name, sizes, ks, distances):
 
 
 def cmd_scaling(cfg: RunConfig) -> int:
-    sizes = cfg.sizes_or(SCALING_SIZES)
-    if any(s is None for s in sizes):
-        raise UsageError("scaling needs finite system sizes")
-    if len(sizes) < 3:
-        raise UsageError(f"scaling needs >= 3 system sizes, got {len(sizes)}")
+    sizes = _scaling_sizes(cfg)
     points = _pseudo_criticals(cfg, None, sizes, [cfg.k], [cfg.distance])
     pts = points.get((cfg.k, cfg.distance), [])
     result = sc.scaling_fit(pts, cfg.scaling_mode, cfg.lambda_c)
@@ -389,11 +370,7 @@ TABLE1_COLUMNS = (("mz", "md"), ("mz", "sd"), ("mz", "bd"), ("txx", "md"))
 
 
 def cmd_table1(cfg: RunConfig) -> int:
-    sizes = cfg.sizes_or(SCALING_SIZES)
-    if any(s is None for s in sizes):
-        raise UsageError("table1 needs finite system sizes")
-    if len(sizes) < 3:
-        raise UsageError(f"scaling needs >= 3 system sizes, got {len(sizes)}")
+    sizes = _scaling_sizes(cfg)
     ks = (1, 2, 3, 4)
     cells = {}
     for obs in ("mz", "txx"):
@@ -454,29 +431,28 @@ def cmd_benford(cfg: RunConfig, path: str) -> int:
     return EXIT_OK
 
 
+# name -> (function, help, positional (name, help) pairs passed after the config)
+COMMANDS = {
+    "observables": (cmd_observables, "dump (lambda, value) rows over a grid", ()),
+    "profile": (cmd_profile, "violation profile over sliding windows", ()),
+    "scaling": (cmd_scaling, "pseudo-critical points and scaling exponent", ()),
+    "table1": (cmd_table1, "4x4 exponent table over k and distances", ()),
+    "benford": (cmd_benford, "digit-conformance report for a numeric file",
+                (("path", "file of one number per line"),)),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        if args.command == "observables":
-            return cmd_observables(cfg)
-        if args.command == "profile":
-            return cmd_profile(cfg)
-        if args.command == "scaling":
-            return cmd_scaling(cfg)
-        if args.command == "table1":
-            return cmd_table1(cfg)
-        if args.command == "benford":
-            return cmd_benford(cfg, args.path)
-        raise UsageError(f"unknown command {args.command!r}")
+        command, _, positionals = COMMANDS[args.command]
+        return command(cfg, *(getattr(args, pos) for pos, _ in positionals))
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputFormatError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError, QuadratureError, ConvergenceError) as exc:

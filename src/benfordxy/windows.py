@@ -9,10 +9,11 @@ the Benford expectation with one of the three distances from
 window midpoint a + w/2 + m*eps.
 
 Windows are independent work units; `jobs > 1` farms fixed-size blocks of
-window indices to a process pool and assembles results by index, so the
-output is bit-identical for any worker count.  `profile_set` evaluates
-several (k, distance) combinations from one shared sampling pass, which
-is how the scaling pipeline keeps its runtime sane.
+window indices to a process pool of min(jobs, blocks, cores) workers and
+assembles results by index, so the output is bit-identical for any worker
+count.  `profile_set` evaluates several (k, distance) combinations from
+one shared sampling pass, which is how the scaling pipeline keeps its
+runtime sane.
 """
 
 from __future__ import annotations
@@ -64,12 +65,14 @@ class WindowSpec:
         return int(math.floor((self.b - self.a - self.w) / self.epsilon + 1e-9)) + 1
 
 
+def _window(spec: WindowSpec, m: int) -> tuple[float, float]:
+    """Interval of window m, [a + m*eps, a + w + m*eps] (no accumulation)."""
+    return (spec.a + m * spec.epsilon, spec.a + spec.w + m * spec.epsilon)
+
+
 def windows(spec: WindowSpec) -> list[tuple[float, float]]:
-    """All window intervals [a + m*eps, a + w + m*eps], m = 0..m_max."""
-    return [
-        (spec.a + m * spec.epsilon, spec.a + spec.w + m * spec.epsilon)
-        for m in range(spec.count)
-    ]
+    """All window intervals, m = 0..m_max."""
+    return [_window(spec, m) for m in range(spec.count)]
 
 
 def midpoints(spec: WindowSpec) -> np.ndarray:
@@ -158,8 +161,7 @@ def _eval_block(observable, spec: WindowSpec, start: int, stop: int, combos):
     """Distances for windows start..stop-1; shape (stop-start, len(combos))."""
     out = np.empty((stop - start, len(combos)))
     for row, m in enumerate(range(start, stop)):
-        lo = spec.a + m * spec.epsilon
-        hi = spec.a + spec.w + m * spec.epsilon
+        lo, hi = _window(spec, m)
         lams = np.linspace(lo, hi, spec.n)
         values = np.asarray(observable(lams), dtype=float)
         out[row] = _window_deltas(values, combos)
@@ -198,8 +200,9 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     count = spec.count
     blocks = [(s, min(s + _BLOCK, count)) for s in range(0, count, _BLOCK)]
     table = np.empty((count, len(combos)))
-    if jobs > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(blocks), default_jobs())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_eval_block, observable, spec, s, t, combos)
                 for s, t in blocks

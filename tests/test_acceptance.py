@@ -29,7 +29,7 @@ from benfordxy import scaling as sc
 from benfordxy import xy_model as xy
 from benfordxy.windows import WindowSpec, convergence_check, default_jobs
 
-from conftest import COARSE_SPEC, SIZES, xy_curve
+from conftest import COARSE_SPEC, SIZES, cell_points, xy_curve
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -39,12 +39,7 @@ def _report(num: int, ok: bool, detail: str):
 
 def _cell_q(tables, obs: str, k: int, dist: str) -> float:
     """Exponent of one table cell; raises FitError where the cell has none."""
-    pts = []
-    for size in SIZES:
-        prof = tables[(obs, size)][(k, dist)]
-        lam_c, _ = sc.profile_pseudo_critical(list(prof.points))
-        pts.append((size, lam_c))
-    return sc.scaling_fit(pts, "fixed", 1.0).q
+    return sc.scaling_fit(cell_points(tables, obs, k, dist), "fixed", 1.0).q
 
 
 def _depth_tables(coarse_tables, converged_tables, k: int):

@@ -31,12 +31,26 @@ def run(argv, capsys):
         ["scaling", "--n-sites", "inf"],
         ["observables", "--n-sites", "14", "--n-sites", "20"],
         ["observables", "--n", "0"],
+        ["scaling", "--auto-n"],
+        ["table1", "--auto-n"],
+        ["table1", "--n-sites", "14,20,inf"],
+        ["scaling", "--n-sites", "14,20,20"],
+        ["table1", "--n-sites", "14", "--n-sites", "14", "--n-sites", "20"],
+        ["scaling", "--scaling-mode", "free", "--n-sites", "14,20,24"],
+        ["table1", "--scaling-mode", "free", "--n-sites", "14,20,24"],
+        ["profile", "--jobs", "-3"],
     ],
 )
-def test_usage_errors_exit_1(argv, capsys):
+def test_usage_errors_exit_1(argv, capsys, monkeypatch):
+    def no_profiles(*args, **kwargs):
+        raise AssertionError("a usage error must stop the run before any profile")
+
+    monkeypatch.setattr(cli, "profile_set", no_profiles)
+    monkeypatch.setattr(cli, "profile_windows", no_profiles)
     code, _, err = run(argv, capsys)
     assert code == 1
     assert err.startswith("error[usage]:") or "error[usage]:" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_table1_single_size_is_a_usage_error(capsys):
@@ -195,6 +209,19 @@ def test_bad_config_exits_3(tmp_path, capsys, content, needle):
     assert code == 3
     assert err.startswith("error[io]:")
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["k = 5\n", "distance = kl\n", "scaling_mode = loose\n", "jobs = -3\n"],
+)
+def test_bad_config_values_exit_1(tmp_path, capsys, content):
+    """Config values meet the same choices and jobs checks as flags."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(content)
+    code, _, err = run(["observables", "--config", str(conf)], capsys)
+    assert code == 1
+    assert err.startswith("error[usage]:")
 
 
 # ---------------------------------------------------------------- profile

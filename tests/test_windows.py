@@ -1,6 +1,7 @@
 """Unit tests for sliding-window geometry, normalization, and profiles."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -184,6 +185,43 @@ def test_parallel_profiles_bit_identical():
     parallel = W.profile_set(xy_curve("mz", 14), spec, (1, 2), ("md",), jobs=4)
     for key in serial:
         assert serial[key].points == parallel[key].points
+
+
+class _InlinePool:
+    """Stands in for the process pool: records max_workers and runs each
+    submission at once, so no worker is ever started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        _InlinePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize(
+    "jobs,cores,workers",
+    [(10_000, 8, 3), (2, 8, 2), (10_000, 2, 2), (1, 8, None), (-3, 8, None)],
+)
+def test_profile_set_clamps_workers(monkeypatch, jobs, cores, workers):
+    """Workers = min(jobs, blocks, cores); one worker runs without a pool."""
+    _InlinePool.started = []
+    monkeypatch.setattr(W, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(W, "default_jobs", lambda: cores)
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)  # 96 windows, 3 blocks
+    got = W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=jobs)
+    assert _InlinePool.started == ([] if workers is None else [workers])
+    serial = W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=1)
+    assert got[(1, "md")].points == serial[(1, "md")].points
 
 
 def test_profile_set_requires_a_combo():
