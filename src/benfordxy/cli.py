@@ -311,12 +311,15 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 def _scaling_sizes(cfg: RunConfig) -> tuple:
     """The sizes a scaling fit runs over, checked before any profile is
-    computed: finite, distinct and enough for the fit mode."""
+    computed: finite, even and >= 4, distinct and enough for the fit mode."""
     if cfg.auto_n:
         raise UsageError("--auto-n applies to profile only; give --n or a preset")
     sizes = cfg.sizes_or(SCALING_SIZES)
     if None in sizes:
         raise UsageError("scaling needs finite system sizes")
+    bad = [size for size in sizes if size < 4 or size % 2]
+    if bad:
+        raise UsageError(f"system sizes must be even integers >= 4, got {bad}")
     if len(set(sizes)) != len(sizes):
         raise UsageError(f"scaling needs distinct system sizes, got {sizes}")
     need = 4 if cfg.scaling_mode == "free" else 3
@@ -371,6 +374,11 @@ TABLE1_COLUMNS = (("mz", "md"), ("mz", "sd"), ("mz", "bd"), ("txx", "md"))
 
 def cmd_table1(cfg: RunConfig) -> int:
     sizes = _scaling_sizes(cfg)
+    if not math.isinf(cfg.beta_tilde):
+        raise UsageError(
+            "table1 needs beta_tilde = inf: its T_xx columns have no "
+            "finite-temperature form"
+        )
     ks = (1, 2, 3, 4)
     cells = {}
     for obs in ("mz", "txx"):

@@ -84,15 +84,35 @@ def dispersion(phi, lam, gamma):
     return np.sqrt(s * s + c * c)
 
 
-def _thermal_factor(energy, beta_tilde):
-    """tanh(beta_tilde * energy / 2); exactly 1 at beta_tilde = inf."""
-    if math.isinf(beta_tilde):
-        return np.ones_like(np.asarray(energy, dtype=float))
-    return np.tanh(0.5 * beta_tilde * np.asarray(energy, dtype=float))
-
-
 def _momenta(size: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+
+
+def _over_energy(num, energy):
+    """num / energy, with 0 where the quasiparticle energy vanishes."""
+    return np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
+
+
+def _momentum_mean(integrand, lams, size) -> np.ndarray:
+    """Per field lam: (2/N) sum_p integrand(phi_p, lam) at finite size N, or
+    (1/pi) int_0^pi integrand(phi, lam) dphi at N = inf (size None).
+
+    At N = inf one quadrature call integrates every lam at once: each lam
+    is a row of the batched adaptive Simpson rule.
+    """
+    lams = np.asarray(lams, dtype=float)
+    flat = lams.reshape(-1)
+    if size is None:
+
+        def at_nodes(pair):
+            row, phi = pair
+            return integrand(phi, flat[row])
+
+        out = integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size) / math.pi
+    else:
+        terms = integrand(_momenta(size)[None, :], flat[:, None])
+        out = (2.0 / size) * terms.sum(axis=1)
+    return out.reshape(lams.shape)
 
 
 def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
@@ -101,30 +121,15 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     Finite size: -(2/N) sum_p tanh(bt*L_p/2)(cos phi_p - lam)/L_p.
     Infinite size: the same integrand averaged over [0, pi] by quadrature.
     """
-    lams = np.asarray(lams, dtype=float)
-    if size is None:
-        out = np.array([_mz_inf(lam, gamma, beta_tilde) for lam in np.atleast_1d(lams)])
-        return out.reshape(lams.shape)
-    phi = _momenta(size)
-    lam_col = np.atleast_1d(lams)[:, None]
-    energy = dispersion(phi[None, :], lam_col, gamma)
-    num = _thermal_factor(energy, beta_tilde) * (np.cos(phi)[None, :] - lam_col)
-    terms = np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
-    out = -(2.0 / size) * terms.sum(axis=1)
-    return out.reshape(lams.shape)
 
+    def integrand(phi, lam):
+        energy = dispersion(phi, lam, gamma)
+        num = np.cos(phi) - lam  # the tanh factor is exactly 1 at bt = inf
+        if not math.isinf(beta_tilde):
+            num = np.tanh(0.5 * beta_tilde * energy) * num
+        return _over_energy(num, energy)
 
-def _mz_inf(lam, gamma, beta_tilde) -> float:
-    zero_t = math.isinf(beta_tilde)
-
-    def f(p):
-        e = math.sqrt((gamma * math.sin(p)) ** 2 + (lam - math.cos(p)) ** 2)
-        if e == 0.0:
-            return 0.0
-        t = 1.0 if zero_t else math.tanh(0.5 * beta_tilde * e)
-        return t * (math.cos(p) - lam) / e
-
-    return -integrate(f, 0.0, math.pi, tol=QUAD_TOL) / math.pi
+    return -_momentum_mean(integrand, lams, size)
 
 
 def magnetization(params: ModelParams) -> float:
@@ -141,34 +146,14 @@ def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
     - cos(r phi)(cos phi - lam)] / Lambda dphi.  Finite size: the discrete
     momentum sum with the same integrand, (1/pi)int -> (2/N)sum.
     """
-    lams = np.asarray(lams, dtype=float)
     if size is not None and abs(r) > size // 2:
         raise ValueError(f"offset |r|={abs(r)} exceeds N/2={size // 2}")
-    if size is None:
-        out = np.array([_g_inf(r, lam, gamma) for lam in np.atleast_1d(lams)])
-        return out.reshape(lams.shape)
-    phi = _momenta(size)
-    lam_col = np.atleast_1d(lams)[:, None]
-    energy = dispersion(phi[None, :], lam_col, gamma)
-    num = gamma * np.sin(r * phi)[None, :] * np.sin(phi)[None, :] - np.cos(r * phi)[
-        None, :
-    ] * (np.cos(phi)[None, :] - lam_col)
-    terms = np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
-    out = (2.0 / size) * terms.sum(axis=1)
-    return out.reshape(lams.shape)
 
+    def integrand(phi, lam):
+        num = gamma * np.sin(r * phi) * np.sin(phi) - np.cos(r * phi) * (np.cos(phi) - lam)
+        return _over_energy(num, dispersion(phi, lam, gamma))
 
-def _g_inf(r: int, lam, gamma) -> float:
-    def f(p):
-        e = math.sqrt((gamma * math.sin(p)) ** 2 + (lam - math.cos(p)) ** 2)
-        if e == 0.0:
-            return 0.0
-        return (
-            gamma * math.sin(r * p) * math.sin(p)
-            - math.cos(r * p) * (math.cos(p) - lam)
-        ) / e
-
-    return integrate(f, 0.0, math.pi, tol=QUAD_TOL) / math.pi
+    return _momentum_mean(integrand, lams, size)
 
 
 def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:

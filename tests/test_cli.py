@@ -39,6 +39,9 @@ def run(argv, capsys):
         ["scaling", "--scaling-mode", "free", "--n-sites", "14,20,24"],
         ["table1", "--scaling-mode", "free", "--n-sites", "14,20,24"],
         ["profile", "--jobs", "-3"],
+        ["table1", "--beta-tilde", "5", "--n-sites", "14,16,18"],
+        ["scaling", "--n-sites", "14,15,20"],
+        ["table1", "--n-sites", "2,14,20"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch):

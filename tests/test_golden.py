@@ -1,5 +1,6 @@
 """Golden-bytes gate: a small fixed set of CLI runs must reproduce their
-output files exactly.
+output files exactly, and pinned N = infinity observable values must not
+move.
 
 The digests are sha256 of each written file.  A change that moves an
 output bit fails here; rebaselining a digest belongs in a change that
@@ -8,13 +9,18 @@ shown to agree at tolerance level).
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from benfordxy import cli
+from benfordxy.xy_model import ObservableCurve, ObservableKind
 
 PROFILE_ARGS = ["--n-sites", "14", "--a", "0.5", "--b", "1.5", "--w", "0.05",
                 "--epsilon", "5e-3", "--n", "2500", "--jobs", "1"]
+INF_ARGS = ["--n-sites", "inf", "--a", "0.9", "--b", "1.1", "--w", "0.08",
+            "--epsilon", "0.04", "--n", "100", "--jobs", "1"]
 TABLE1_ARGS = ["--n-sites", "14", "--n-sites", "16", "--n-sites", "18",
                "--a", "0.5", "--b", "1.5", "--w", "0.05", "--epsilon", "1e-2",
                "--n", "2500", "--jobs", "1"]
@@ -26,6 +32,10 @@ RUNS = {
     "profile-txx": (["profile", "--observable", "txx", *PROFILE_ARGS],
                     ("profile.csv", "profile.meta")),
     "table1": (["table1", *TABLE1_ARGS], ("table1.csv",)),
+    "profile-inf-mz": (["profile", "--observable", "mz", *INF_ARGS],
+                       ("profile.csv", "profile.meta")),
+    "profile-inf-txx": (["profile", "--observable", "txx", *INF_ARGS],
+                        ("profile.csv", "profile.meta")),
 }
 
 GOLDEN = {
@@ -41,6 +51,49 @@ GOLDEN = {
         "af8dbf0477d14ae9c58862cb69c28f27b73968dc928415d8dace321807b37c39",
     "table1/table1.csv":
         "293b6f5ed097db7af52ba1a95478c23fc06c4a09206e02aad4f723ac9c252ac0",
+    "profile-inf-mz/profile.csv":
+        "e0907d69a77479de4110b904cf73b9c570a275f0aefb743105f5de6eff3ff8d3",
+    "profile-inf-mz/profile.meta":
+        "0591ffd695893202b4bba4cb4795639938827f4edec1fff2841b6227d92d4b9e",
+    "profile-inf-txx/profile.csv":
+        "9e15e6c536157bc170fe107e77a99c5eca8b8e3ed6a3b14548483aacaddb856c",
+    "profile-inf-txx/profile.meta":
+        "8c792835dc10523dc8471dac419cbe96e9391da891ead3004a35b2727dd6eb8c",
+}
+
+# N = infinity values recorded with the scalar quadrature the batched engine
+# replaced, on a field grid across lambda_c = 1: {(observable, gamma,
+# beta_tilde): values at INF_LAMS}.  Ground-state values must match exactly.
+INF_LAMS = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5)
+INF_VALUES = {
+    ("mz", 0.5, math.inf): (0.29665691709367764, 0.7698003459219619,
+                            0.7698003589195082, 0.7698003719170559, 0.9613263294091317),
+    ("txx", 0.5, math.inf): (-0.8858695842358426, -0.46880672359438536,
+                             -0.4688067104290259, -0.46880669726366564,
+                             -0.19433159512903447),
+    ("tyy", 0.5, math.inf): (-0.12370427366470392, 0.13318057405844488,
+                             0.13318058655255138, 0.13318059904664212,
+                             0.16565829216743208),
+    ("tzz", 0.5, math.inf): (-0.021580527020023027, 0.6550285211523311,
+                             0.6550285452673134, 0.6550285693822903, 0.956340951778483),
+    ("g:2", 0.5, math.inf): (-0.0392785354730227, 0.09854809897756805,
+                             0.09854811116531473, 0.09854812335306262,
+                             0.07563337803785332),
+    ("mz", 1.0, math.inf): (0.2586579046115684, 0.6366197654275108,
+                            0.636619772367581, 0.6366197793076523, 0.8773282152447526),
+    ("txx", 1.0, math.inf): (-0.934215457667686, -0.6366197793076516,
+                             -0.636619772367581, -0.63661976542751, -0.3559338986690482),
+    ("tyy", 1.0, math.inf): (0.03347205359255706, 0.2122065842735537,
+                             0.21220659078919382, 0.21220659730483424,
+                             0.27127901833007706),
+    ("tzz", 1.0, math.inf): (0.09817402148409524, 0.5403796345808392,
+                             0.5403796460924677, 0.5403796576040976, 0.8662621958858794),
+    ("g:2", 1.0, math.inf): (0.00851811554433503, 0.12732394812764183,
+                             0.12732395447351622, 0.12732396081939124,
+                             0.13198391105860552),
+    # np.tanh and math.tanh differ in the last ulp for some arguments
+    ("mz", 0.5, 5.0): (0.32842595536755415, 0.7215667382423439,
+                       0.7215667389653591, 0.7215667396883749, 0.9373813401389263),
 }
 
 
@@ -58,3 +111,15 @@ def test_golden_output_bytes(tmp_path, capsys, name):
     got = digests(tmp_path, name)
     capsys.readouterr()
     assert got == {key: GOLDEN[key] for key in got}
+
+
+@pytest.mark.parametrize("key", sorted(INF_VALUES, key=repr))
+def test_pinned_infinite_chain_values(key):
+    name, gamma, beta_tilde = key
+    curve = ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde)
+    got = curve(np.array(INF_LAMS))
+    want = np.array(INF_VALUES[key])
+    if math.isinf(beta_tilde):
+        assert got.tolist() == want.tolist()
+    else:
+        assert np.abs(got - want).max() <= 1e-12
