@@ -7,16 +7,17 @@ the probability log10(1 + 1/key); at k = 1 this is the familiar
 first-digit law.  Depths above 4 are not supported: the law is already
 nearly uniform there.
 
-Frequency tables hold one real-valued count per key (zero-filled bins
-included) plus the effective sample count.  Extraction is pure exponent
-arithmetic (floor of log10, scale, truncate); no string formatting is
-involved.  Keys reflect the digits of the stored double: 1e23 keys as
-9 because the nearest double to 1e23 lies just below it and opens with
-nines.
+Frequency tables hold one real-valued count per key (9 * 10^(k-1) bins
+from key 10^(k-1), a layout only this module builds) plus the effective
+sample count.  Extraction is exponent arithmetic: the decade e of |x|
+follows the stored double (1e23 keys as 9), and |x| * 10^(k-1-e) is
+rounded once before the floor, which can lift a double just below a
+k-digit decimal onto it (0.7 keys as 7, and 0.123 as 1230 at depth 4).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,10 +144,13 @@ def benford_probability(key: DigitKey) -> float:
     return math.log10(1.0 + 1.0 / key.value)
 
 
+@functools.cache
 def benford_probabilities(k: int) -> np.ndarray:
-    """Benford probability for every key of depth k, in key order."""
+    """Benford probability per key of depth k in key order; cached, read-only."""
     lo, hi = key_bounds(k)
-    return np.log10(1.0 + 1.0 / np.arange(lo, hi + 1, dtype=float))
+    probs = np.log10(1.0 + 1.0 / np.arange(lo, hi + 1, dtype=float))
+    probs.flags.writeable = False
+    return probs
 
 
 @dataclass(frozen=True)
@@ -189,15 +193,29 @@ def observed_table(data, k: int) -> FrequencyTable:
     nz = arr[arr != 0.0]
     if nz.size == 0:
         raise ValueError("no nonzero data to bin")
-    counts = _count_keys(nz, k)
+    counts = key_histograms(nz, [k])[k]
     return FrequencyTable(k, counts, float(counts.sum()))
 
 
-def _count_keys(nonzero, k: int) -> np.ndarray:
-    lo, hi = key_bounds(k)
-    return np.bincount(digit_keys(nonzero, k) - lo, minlength=hi - lo + 1).astype(
-        float
-    )
+def key_histograms(nonzero, ks) -> dict[int, np.ndarray]:
+    """Key counts at each depth in ks from one key pass at the deepest depth
+    K: key_k = key_K // 10^(K-k), so runs of 10^(K-k) bins sum exactly."""
+    _check_depth(min(ks))
+    kmax = max(ks)
+    lo, hi = key_bounds(kmax)
+    deepest = np.bincount(digit_keys(nonzero, kmax) - lo, minlength=hi - lo + 1)
+    deepest = deepest.astype(float)
+    return {k: deepest.reshape(9 * 10 ** (k - 1), -1).sum(axis=1) for k in ks}
+
+
+def combo_distances(nonzero, combos) -> list[float]:
+    """Distance of nonzero values from the Benford law for each (k, distance)
+    combo, every depth from one `key_histograms` pass."""
+    counts = key_histograms(nonzero, {k for k, _ in combos})
+    return [
+        _RAW_DISTANCES[d](counts[k], counts[k].sum() * benford_probabilities(k))
+        for k, d in combos
+    ]
 
 
 def _check_pair(observed: FrequencyTable, expected: FrequencyTable):

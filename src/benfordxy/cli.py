@@ -239,7 +239,10 @@ def resolve_config(args) -> RunConfig:
 
 def _curve(cfg: RunConfig, size, kind_name=None) -> ObservableCurve:
     kind = ObservableKind.parse(kind_name or cfg.observable)
-    return ObservableCurve(kind, gamma=cfg.gamma, beta_tilde=cfg.beta_tilde, size=size)
+    try:
+        return ObservableCurve(kind, cfg.gamma, cfg.beta_tilde, size)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _outpath(cfg: RunConfig, name: str) -> str:
@@ -311,15 +314,13 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 def _scaling_sizes(cfg: RunConfig) -> tuple:
     """The sizes a scaling fit runs over, checked before any profile is
-    computed: finite, even and >= 4, distinct and enough for the fit mode."""
+    computed: finite, distinct and enough for the fit mode (`_curve` checks
+    each size's domain)."""
     if cfg.auto_n:
         raise UsageError("--auto-n applies to profile only; give --n or a preset")
     sizes = cfg.sizes_or(SCALING_SIZES)
     if None in sizes:
         raise UsageError("scaling needs finite system sizes")
-    bad = [size for size in sizes if size < 4 or size % 2]
-    if bad:
-        raise UsageError(f"system sizes must be even integers >= 4, got {bad}")
     if len(set(sizes)) != len(sizes):
         raise UsageError(f"scaling needs distinct system sizes, got {sizes}")
     need = 4 if cfg.scaling_mode == "free" else 3
@@ -334,8 +335,8 @@ def _scaling_sizes(cfg: RunConfig) -> tuple:
 def _pseudo_criticals(cfg: RunConfig, kind_name, sizes, ks, distances):
     """lambda_c^N per (k, distance, N) sharing one sampling pass per (N, n)."""
     points = {}
-    for size in sizes:
-        curve = _curve(cfg, size, kind_name)
+    curves = {size: _curve(cfg, size, kind_name) for size in sizes}  # domain errors first
+    for size, curve in curves.items():
         by_n = {}
         for k in ks:
             by_n.setdefault(cfg.resolved_n(k), []).append(k)
@@ -346,7 +347,7 @@ def _pseudo_criticals(cfg: RunConfig, kind_name, sizes, ks, distances):
             )
             for (k, d), prof in profs.items():
                 try:
-                    lc, _ = sc.profile_pseudo_critical(list(prof.points), cfg.fit_window)
+                    lc, _ = sc.profile_pseudo_critical(prof.points, cfg.fit_window)
                     points.setdefault((k, d), []).append((size, lc))
                 except (sc.FitError, ValueError) as exc:
                     print(

@@ -5,15 +5,15 @@ a + w + m*eps].  Within each window the curve is sampled at n evenly
 spaced points (endpoints included), min-max normalized, and the first-k
 significant digits of the nonzero normalized values are compared against
 the Benford expectation with one of the three distances from
-:mod:`benfordxy.benford`.  The profile keys each window's distance by the
-window midpoint a + w/2 + m*eps.
+:mod:`benfordxy.benford`.  A profile holds two float arrays, the window
+midpoints a + w/2 + m*eps and each window's distance.
 
 Windows are independent work units; `jobs > 1` farms fixed-size blocks of
 window indices to a process pool of min(jobs, blocks, cores) workers and
 assembles results by index, so the output is bit-identical for any worker
 count.  `profile_set` evaluates several (k, distance) combinations from
-one shared sampling pass, which is how the scaling pipeline keeps its
-runtime sane.
+one sampling and one digit-key pass per window, which is how the scaling
+pipeline keeps its runtime sane.
 """
 
 from __future__ import annotations
@@ -93,31 +93,17 @@ def normalize(data) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def _window_deltas(values: np.ndarray, combos) -> list[float]:
-    """Distances for each (k, distance) combo from one sampled window."""
-    normed = normalize(values)
-    nonzero = normed[normed != 0.0]
-    if nonzero.size == 0:
-        raise DegenerateWindowError("all normalized samples are zero")
-    out = []
-    counts_by_k: dict[int, np.ndarray] = {}
-    for k, dist in combos:
-        counts = counts_by_k.get(k)
-        if counts is None:
-            counts = benford._count_keys(nonzero, k)
-            counts_by_k[k] = counts
-        expected = counts.sum() * benford.benford_probabilities(k)
-        out.append(benford._RAW_DISTANCES[dist](counts, expected))
-    return out
+def _window_deltas(observable, window, n: int, combos) -> list[float]:
+    """Distances for each (k, distance) combo from one window of n samples."""
+    normed = normalize(observable(np.linspace(*window, n)))
+    # normalize maps the maximum to 1.0, so at least one sample is nonzero
+    return benford.combo_distances(normed[normed != 0.0], combos)
 
 
 def window_violation(observable, window, n: int, k: int, distance: str) -> float:
     """Distance of one window's normalized samples from the Benford law."""
     _check_distance(distance)
-    lo, hi = window
-    lams = np.linspace(lo, hi, n)
-    values = np.asarray(observable(lams), dtype=float)
-    return _window_deltas(values, [(k, distance)])[0]
+    return _window_deltas(observable, window, n, [(k, distance)])[0]
 
 
 def _check_distance(distance: str):
@@ -141,31 +127,27 @@ class ProfileMeta:
     spec: WindowSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViolationProfile:
-    """Ordered (midpoint, delta) points plus their provenance."""
+    """Read-only window midpoints and distances, in window order, plus
+    provenance.  Profiles compare by identity; compare their arrays."""
 
-    points: tuple[tuple[float, float], ...]
+    lambdas: np.ndarray
+    deltas: np.ndarray
     meta: ProfileMeta
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+    def points(self) -> np.ndarray:
+        """(midpoint, delta) rows, shape (windows, 2), for the scaling fits."""
+        return np.column_stack((self.lambdas, self.deltas))
 
 
 def _eval_block(observable, spec: WindowSpec, start: int, stop: int, combos):
     """Distances for windows start..stop-1; shape (stop-start, len(combos))."""
-    out = np.empty((stop - start, len(combos)))
-    for row, m in enumerate(range(start, stop)):
-        lo, hi = _window(spec, m)
-        lams = np.linspace(lo, hi, spec.n)
-        values = np.asarray(observable(lams), dtype=float)
-        out[row] = _window_deltas(values, combos)
-    return out
+    return np.array([
+        _window_deltas(observable, _window(spec, m), spec.n, combos)
+        for m in range(start, stop)
+    ])
 
 
 def _meta_for(observable, spec: WindowSpec, k: int, distance: str) -> ProfileMeta:
@@ -187,8 +169,8 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     """Profiles for every (k, distance) pair from one shared sampling pass.
 
     Returns a dict {(k, distance): ViolationProfile}.  Each window is
-    sampled and normalized once; digit counts are reused across distances
-    at equal k.
+    sampled, normalized and digit-keyed once, at the deepest k; shallower
+    depths are folded from that histogram (`benford.key_histograms`).
     """
     ks = list(dict.fromkeys(ks))
     distances = list(dict.fromkeys(distances))
@@ -199,7 +181,6 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
         raise ValueError("need at least one (k, distance) combination")
     count = spec.count
     blocks = [(s, min(s + _BLOCK, count)) for s in range(0, count, _BLOCK)]
-    table = np.empty((count, len(combos)))
     workers = min(jobs, len(blocks), default_jobs())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -207,17 +188,16 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
                 pool.submit(_eval_block, observable, spec, s, t, combos)
                 for s, t in blocks
             ]
-            for (s, t), fut in zip(blocks, futures):
-                table[s:t] = fut.result()
+            rows = [fut.result() for fut in futures]
     else:
-        for s, t in blocks:
-            table[s:t] = _eval_block(observable, spec, s, t, combos)
+        rows = [_eval_block(observable, spec, s, t, combos) for s, t in blocks]
+    table = np.ascontiguousarray(np.concatenate(rows).T)  # one row per combo
     mids = midpoints(spec)
-    result = {}
-    for col, (k, d) in enumerate(combos):
-        pts = tuple((float(mids[m]), float(table[m, col])) for m in range(count))
-        result[(k, d)] = ViolationProfile(pts, _meta_for(observable, spec, k, d))
-    return result
+    mids.flags.writeable = table.flags.writeable = False
+    return {
+        (k, d): ViolationProfile(mids, table[col], _meta_for(observable, spec, k, d))
+        for col, (k, d) in enumerate(combos)
+    }
 
 
 def profile(observable, spec: WindowSpec, k: int, distance: str, jobs: int = 1):
@@ -281,7 +261,7 @@ def fmt17(x: float) -> str:
 
 def profile_csv_text(prof: ViolationProfile) -> str:
     lines = ["lambda_mid,delta"]
-    lines += [f"{fmt17(lam)},{fmt17(d)}" for lam, d in prof.points]
+    lines += [f"{fmt17(lam)},{fmt17(d)}" for lam, d in prof.points.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -122,6 +122,18 @@ def test_probability_oracles():
     assert abs(probs[0] - math.log10(11.0 / 10.0)) < 1e-15
 
 
+def test_probability_tables_are_cached_and_read_only():
+    for k in (1, 2, 3, 4):
+        first = benford.benford_probabilities(k)
+        assert benford.benford_probabilities(k) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        lo, hi = benford.key_bounds(k)
+        fresh = np.log10(1.0 + 1.0 / np.arange(lo, hi + 1, dtype=float))
+        assert first.tobytes() == fresh.tobytes()
+
+
 def test_normalization_and_marginal():
     for k in (1, 2, 3, 4):
         assert abs(benford.benford_probabilities(k).sum() - 1.0) < 1e-12
@@ -158,6 +170,38 @@ def test_observed_table_excludes_zeros():
     assert table.count_of(benford.DigitKey(1, 9)) == 1.0
     with pytest.raises(ValueError):
         benford.observed_table([0.0, 0.0], 1)
+
+
+def test_key_histograms_fold_depths():
+    # random draws sit nowhere near a 4-digit decimal, so folding from the
+    # deepest depth agrees with a direct pass at every depth
+    rng = np.random.default_rng(5)
+    x = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(-5, 5, 20000)
+    x[::7] *= -1.0
+    hists = benford.key_histograms(x, [3, 1, 4, 2])
+    assert sorted(hists) == [1, 2, 3, 4]
+    for k in (1, 2, 3, 4):
+        assert np.array_equal(hists[k], benford.observed_table(x, k).counts)
+        assert hists[k].sum() == x.size
+    assert list(benford.key_histograms(x, [2])) == [2]
+    # one ulp from 3-digit decimals a direct pass at a shallower depth can
+    # round where the deepest key truncates (or the reverse); the fold is
+    # defined as the truncation of the deepest key
+    dec = np.arange(100, 1000) / 1000.0
+    near = np.concatenate([np.nextafter(dec, 0.0), dec, np.nextafter(dec, 1.0)])
+    for kmax in (2, 3, 4):
+        ks = list(range(1, kmax + 1))
+        hists = benford.key_histograms(near, ks)
+        deepest = benford.digit_keys(near, kmax)
+        for k in ks:
+            lo, hi = benford.key_bounds(k)
+            truncated = deepest // 10 ** (kmax - k)
+            expected = np.bincount(truncated - lo, minlength=hi - lo + 1)
+            assert np.array_equal(hists[k], expected)
+    with pytest.raises(ValueError):
+        benford.key_histograms(x, [0, 2])
+    with pytest.raises(ValueError):
+        benford.key_histograms(x, [5])
 
 
 def test_distance_oracles():

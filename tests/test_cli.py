@@ -42,6 +42,12 @@ def run(argv, capsys):
         ["table1", "--beta-tilde", "5", "--n-sites", "14,16,18"],
         ["scaling", "--n-sites", "14,15,20"],
         ["table1", "--n-sites", "2,14,20"],
+        ["profile", "--n-sites", "15"],
+        ["observables", "--n-sites", "15"],
+        ["observables", "--gamma", "0"],
+        ["profile", "--observable", "g:30", "--n-sites", "14"],
+        ["observables", "--observable", "txx", "--beta-tilde", "5"],
+        ["scaling", "--observable", "g:8", "--n-sites", "20,18,14"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch):
@@ -62,12 +68,16 @@ def test_table1_single_size_is_a_usage_error(capsys):
     assert "needs >= 3 system sizes" in err
 
 
-def test_domain_errors_exit_2(capsys):
+def test_numeric_failures_exit_2(tmp_path, capsys):
+    # M_z is exactly 1.0 at lambda >= 1e9, so every window is constant
     code, _, err = run(
-        ["observables", "--observable", "mz", "--gamma", "0"], capsys
+        ["profile", "--n-sites", "14", "--a", "1e9", "--b", "2e9", "--w", "1e8",
+         "--epsilon", "1e7", "--n", "100", "--out", str(tmp_path)],
+        capsys,
     )
     assert code == 2
     assert err.startswith("error[numeric]:")
+    assert len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------- observables

@@ -22,6 +22,14 @@ def _identity_curve(lams):
     return np.asarray(lams, dtype=float)
 
 
+def _same_bits(a, b):
+    """Two profiles hold bit-identical midpoints and distances."""
+    return (a.lambdas.tobytes(), a.deltas.tobytes()) == (
+        b.lambdas.tobytes(),
+        b.deltas.tobytes(),
+    )
+
+
 # ---------------------------------------------------------------- geometry
 
 
@@ -156,19 +164,26 @@ def test_profile_points_are_ordered_and_keyed_by_midpoint():
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
     prof = W.profile(_pow_curve, spec, k=1, distance="md", jobs=1)
     assert len(prof.points) == spec.count
+    assert prof.points.shape == (spec.count, 2)
     assert np.array_equal(prof.lambdas, W.midpoints(spec))
+    assert np.array_equal(prof.points[:, 1], prof.deltas)
+    assert not prof.lambdas.flags.writeable and not prof.deltas.flags.writeable
     assert prof.meta.k == 1
     assert prof.meta.distance == "md"
     assert prof.meta.spec == spec
 
 
 def test_profile_set_consistent_with_single_profiles():
+    """profile_set folds depths 1..3 from one depth-4 key pass; each must
+    match its own single-depth profile, which keys at that depth directly."""
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 500)
-    combos = W.profile_set(_pow_curve, spec, (1, 3), ("md", "bd"), jobs=1)
-    assert set(combos) == {(1, "md"), (1, "bd"), (3, "md"), (3, "bd")}
-    for (k, dist), prof in combos.items():
-        single = W.profile(_pow_curve, spec, k, dist, jobs=1)
-        assert prof.points == single.points
+    ks = (1, 2, 3, 4)
+    for curve in (_pow_curve, xy_curve("mz", 14)):
+        combos = W.profile_set(curve, spec, ks, ("md", "bd"), jobs=1)
+        assert set(combos) == {(k, d) for k in ks for d in ("md", "bd")}
+        for (k, dist), prof in combos.items():
+            single = W.profile(curve, spec, k, dist, jobs=1)
+            assert _same_bits(prof, single)
 
 
 def test_window_violation_matches_profile_entry():
@@ -184,7 +199,7 @@ def test_parallel_profiles_bit_identical():
     serial = W.profile_set(xy_curve("mz", 14), spec, (1, 2), ("md",), jobs=1)
     parallel = W.profile_set(xy_curve("mz", 14), spec, (1, 2), ("md",), jobs=4)
     for key in serial:
-        assert serial[key].points == parallel[key].points
+        assert _same_bits(serial[key], parallel[key])
 
 
 class _InlinePool:
@@ -221,7 +236,7 @@ def test_profile_set_clamps_workers(monkeypatch, jobs, cores, workers):
     got = W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=jobs)
     assert _InlinePool.started == ([] if workers is None else [workers])
     serial = W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=1)
-    assert got[(1, "md")].points == serial[(1, "md")].points
+    assert _same_bits(got[(1, "md")], serial[(1, "md")])
 
 
 def test_profile_set_requires_a_combo():
