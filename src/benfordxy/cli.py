@@ -15,7 +15,8 @@ mutually exclusive pair), then explicit flags; later sources win.  A
 profile run writes a metadata sidecar that parses back as a config file
 and reproduces the run byte-identically.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 numeric failure or out of memory,
+3 I/O failure.
 Every failure prints a single diagnostic line `error[<class>]: message`
 to stderr.
 """
@@ -284,21 +285,27 @@ pause -1 "press enter to close"
 """
 
 
+def _window_spec(cfg: RunConfig, n: int) -> WindowSpec:
+    """The sweep's windows at n samples; a geometry outside its domain,
+    such as more windows than `windows.MAX_WINDOWS`, is a usage error."""
+    try:
+        return WindowSpec(cfg.a, cfg.b, cfg.w, cfg.epsilon, n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_profile(cfg: RunConfig) -> int:
     sizes = cfg.sizes_or((40,))
     if len(sizes) != 1:
         raise UsageError("profile takes exactly one --n-sites value")
     curve = _curve(cfg, sizes[0])
+    spec = _window_spec(cfg, COARSE_N if cfg.auto_n else cfg.resolved_n(cfg.k))
     if cfg.auto_n:
-        probe = WindowSpec(cfg.a, cfg.b, cfg.w, cfg.epsilon, COARSE_N)
         res = convergence_check(
-            curve, probe, cfg.k, cfg.distance, jobs=cfg.resolved_jobs()
+            curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs()
         )
         print(f"auto-n: converged at n = {res.n} (deviation {res.deviation:.3g})")
-        n = res.n
-    else:
-        n = cfg.resolved_n(cfg.k)
-    spec = WindowSpec(cfg.a, cfg.b, cfg.w, cfg.epsilon, n)
+        spec = dataclasses.replace(spec, n=res.n)
     prof = profile_windows(curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs())
     csv_path = _outpath(cfg, "profile.csv")
     _write(csv_path, profile_csv_text(prof))
@@ -335,13 +342,14 @@ def _scaling_sizes(cfg: RunConfig) -> tuple:
 def _pseudo_criticals(cfg: RunConfig, kind_name, sizes, ks, distances):
     """lambda_c^N per (k, distance, N) sharing one sampling pass per (N, n)."""
     points = {}
-    curves = {size: _curve(cfg, size, kind_name) for size in sizes}  # domain errors first
+    # domain and geometry errors come before the first profile
+    curves = {size: _curve(cfg, size, kind_name) for size in sizes}
+    by_n = {}
+    for k in ks:
+        by_n.setdefault(cfg.resolved_n(k), []).append(k)
+    passes = [(_window_spec(cfg, n), k_group) for n, k_group in sorted(by_n.items())]
     for size, curve in curves.items():
-        by_n = {}
-        for k in ks:
-            by_n.setdefault(cfg.resolved_n(k), []).append(k)
-        for n, k_group in sorted(by_n.items()):
-            spec = WindowSpec(cfg.a, cfg.b, cfg.w, cfg.epsilon, n)
+        for spec, k_group in passes:
             profs = profile_set(
                 curve, spec, k_group, distances, jobs=cfg.resolved_jobs()
             )
@@ -461,6 +469,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error[memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (InputFormatError, OSError) as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -29,6 +29,9 @@ import numpy as np
 from . import benford
 
 _BLOCK = 32  # windows per work unit; fixed so partitioning never depends on jobs
+#: most windows one sweep may hold (the --full preset has 19 001); a sweep
+#: past it is refused before anything is allocated for its windows
+MAX_WINDOWS = 1_000_000
 
 
 class DegenerateWindowError(ValueError):
@@ -58,11 +61,19 @@ class WindowSpec:
             raise ValueError(f"window width {self.w} exceeds (b - a)/2")
         if self.n < 100:
             raise ValueError(f"need n >= 100 samples per window, got {self.n}")
+        if not self._shifts() < MAX_WINDOWS:  # count <= MAX_WINDOWS; also inf and nan
+            raise ValueError(
+                f"the sweep has {self._shifts() + 1:.6g} windows, "
+                f"more than the cap of {MAX_WINDOWS}"
+            )
+
+    def _shifts(self) -> float:
+        return (self.b - self.a - self.w) / self.epsilon + 1e-9
 
     @property
     def count(self) -> int:
         """Number of windows, floor((b - a - w)/epsilon) + 1."""
-        return int(math.floor((self.b - self.a - self.w) / self.epsilon + 1e-9)) + 1
+        return int(math.floor(self._shifts())) + 1
 
 
 def _window(spec: WindowSpec, m: int) -> tuple[float, float]:

@@ -4,8 +4,8 @@ Closed-form transverse magnetization and two-point correlators, evaluated
 either as discrete momentum sums for a finite periodic chain of N sites
 (momenta phi_p = 2*pi*p/N, p = 1..N/2) or as momentum integrals over
 [0, pi] in the thermodynamic limit.  All quantities are dimensionless:
-the driving field lam, the anisotropy gamma (nonzero, gamma = 1 is the
-transverse Ising chain) and the inverse temperature beta_tilde, where
+the driving field lam, the anisotropy gamma (finite and nonzero, gamma = 1
+is the transverse Ising chain) and the inverse temperature beta_tilde, where
 ``math.inf`` selects the zero-temperature ground state exactly (the
 thermal tanh factor is replaced by 1, never by a large finite argument).
 
@@ -24,6 +24,10 @@ from .quadrature import integrate
 
 #: tolerance for thermodynamic-limit momentum integrals
 QUAD_TOL = 1e-10
+#: elements per chunk of a finite-N momentum sum (rows x modes); bounds the
+#: temporaries to a cache-sized block, like quadrature.ROWS_PER_BATCH, and
+#: never changes a result (rows are summed independently)
+CHUNK_ELEMENTS = 16384
 
 _OBSERVABLE_NAMES = ("mz", "txx", "tyy", "tzz", "g")
 
@@ -39,8 +43,10 @@ class ModelParams:
     system_size: int | None = None
 
     def __post_init__(self):
-        if self.gamma == 0.0:
-            raise ValueError("gamma must be nonzero (XX point is excluded)")
+        if not (math.isfinite(self.gamma) and self.gamma != 0.0):
+            raise ValueError(
+                f"gamma must be finite and nonzero (XX point is excluded), got {self.gamma}"
+            )
         if not self.beta_tilde > 0.0:
             raise ValueError("beta_tilde must be positive")
         if self.system_size is not None:
@@ -97,8 +103,13 @@ def _momentum_mean(integrand, lams, size) -> np.ndarray:
     """Per field lam: (2/N) sum_p integrand(phi_p, lam) at finite size N, or
     (1/pi) int_0^pi integrand(phi, lam) dphi at N = inf (size None).
 
-    At N = inf one quadrature call integrates every lam at once: each lam
-    is a row of the batched adaptive Simpson rule.
+    The integrand returns a tuple of term arrays, one per mean, and the
+    means are stacked on a leading axis: shape (terms,) + lams.shape.  At
+    finite N the lams are summed in chunks of about CHUNK_ELEMENTS terms,
+    each row on its own, so a chunk's temporaries stay in cache and no
+    value depends on the chunk size.  At N = inf one quadrature call
+    integrates every lam of a one-term integrand at once: each lam is a
+    row of the batched adaptive Simpson rule.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
@@ -106,13 +117,36 @@ def _momentum_mean(integrand, lams, size) -> np.ndarray:
 
         def at_nodes(pair):
             row, phi = pair
-            return integrand(phi, flat[row])
+            (terms,) = integrand(phi, flat[row])
+            return terms
 
-        out = integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size) / math.pi
+        out = integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size)[None] / math.pi
     else:
-        terms = integrand(_momenta(size)[None, :], flat[:, None])
-        out = (2.0 / size) * terms.sum(axis=1)
-    return out.reshape(lams.shape)
+        phi = _momenta(size)[None, :]
+        rows = max(1, CHUNK_ELEMENTS // phi.size)
+        out = None
+        for start in range(0, max(flat.size, 1), rows):  # empty lams: one empty chunk
+            parts = integrand(phi, flat[start:start + rows, None])
+            if out is None:
+                out = np.empty((len(parts), flat.size))
+            for dest, terms in zip(out, parts):
+                dest[start:start + rows] = terms.sum(axis=1)
+        out *= 2.0 / size
+    return out.reshape(out.shape[:1] + lams.shape)
+
+
+def _mz_terms(phi, lam, energy, beta_tilde):
+    """M_z integrand tanh(bt*L/2)(cos phi - lam)/L, without its minus sign."""
+    num = np.cos(phi) - lam  # the tanh factor is exactly 1 at bt = inf
+    if not math.isinf(beta_tilde):
+        num = np.tanh(0.5 * beta_tilde * energy) * num
+    return _over_energy(num, energy)
+
+
+def _g_terms(r, phi, lam, gamma, energy):
+    """G(r) integrand [gamma sin(r phi) sin phi - cos(r phi)(cos phi - lam)]/L."""
+    num = gamma * np.sin(r * phi) * np.sin(phi) - np.cos(r * phi) * (np.cos(phi) - lam)
+    return _over_energy(num, energy)
 
 
 def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
@@ -123,13 +157,9 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     """
 
     def integrand(phi, lam):
-        energy = dispersion(phi, lam, gamma)
-        num = np.cos(phi) - lam  # the tanh factor is exactly 1 at bt = inf
-        if not math.isinf(beta_tilde):
-            num = np.tanh(0.5 * beta_tilde * energy) * num
-        return _over_energy(num, energy)
+        return (_mz_terms(phi, lam, dispersion(phi, lam, gamma), beta_tilde),)
 
-    return -_momentum_mean(integrand, lams, size)
+    return -_momentum_mean(integrand, lams, size)[0]
 
 
 def magnetization(params: ModelParams) -> float:
@@ -150,15 +180,38 @@ def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
         raise ValueError(f"offset |r|={abs(r)} exceeds N/2={size // 2}")
 
     def integrand(phi, lam):
-        num = gamma * np.sin(r * phi) * np.sin(phi) - np.cos(r * phi) * (np.cos(phi) - lam)
-        return _over_energy(num, dispersion(phi, lam, gamma))
+        return (_g_terms(r, phi, lam, gamma, dispersion(phi, lam, gamma)),)
 
-    return _momentum_mean(integrand, lams, size)
+    return _momentum_mean(integrand, lams, size)[0]
 
 
 def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:
     """Zero-temperature two-point correlator G(r, lam)."""
     return float(correlator_curve(r, lam, gamma, size))
+
+
+def tzz_curve(lams, gamma, size=None) -> np.ndarray:
+    """T_zz = M_z^2 - G(-1) G(+1) at zero temperature (vectorized in lam).
+
+    At finite size one pass computes each Lambda_p once and sums the M_z,
+    G(-1) and G(+1) terms from it; at N = inf each factor is its own
+    quadrature, since their adaptive trees differ.
+    """
+    if size is None:
+        mz = mz_curve(lams, gamma)
+        gm = correlator_curve(-1, lams, gamma)
+        gp = correlator_curve(1, lams, gamma)
+    else:
+
+        def integrand(phi, lam):
+            energy = dispersion(phi, lam, gamma)
+            return (_mz_terms(phi, lam, energy, math.inf),
+                    _g_terms(-1, phi, lam, gamma, energy),
+                    _g_terms(1, phi, lam, gamma, energy))
+
+        neg_mz, gm, gp = _momentum_mean(integrand, lams, size)
+        mz = -neg_mz
+    return mz * mz - gm * gp
 
 
 def correlators_nn(lam: float, gamma: float, size: int | None = None):
@@ -210,11 +263,7 @@ class ObservableCurve:
             return correlator_curve(1, lams, self.gamma, self.size)
         if name == "g":
             return correlator_curve(self.kind.r, lams, self.gamma, self.size)
-        # tzz
-        gm = correlator_curve(-1, lams, self.gamma, self.size)
-        gp = correlator_curve(1, lams, self.gamma, self.size)
-        mz = mz_curve(lams, self.gamma, self.beta_tilde, self.size)
-        return mz * mz - gm * gp
+        return tzz_curve(lams, self.gamma, self.size)
 
 
 def observable_curve(

@@ -48,6 +48,10 @@ def run(argv, capsys):
         ["profile", "--observable", "g:30", "--n-sites", "14"],
         ["observables", "--observable", "txx", "--beta-tilde", "5"],
         ["scaling", "--observable", "g:8", "--n-sites", "20,18,14"],
+        ["profile", "--n-sites", "14", "--gamma", "nan"],
+        ["observables", "--n-sites", "14", "--gamma", "nan"],
+        ["profile", "--epsilon", "1e-9"],
+        ["table1", "--epsilon", "1e-9", "--n-sites", "14,16,18"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch):
@@ -78,6 +82,17 @@ def test_numeric_failures_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error[numeric]:")
     assert len(err.splitlines()) == 1
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "profile_set", exhausted)
+    code, _, err = run(["scaling", "--n-sites", "14,16,18", "--epsilon", "1e-2",
+                        "--n", "100", "--jobs", "1"], capsys)
+    assert code == 2
+    assert err == "error[memory]: Unable to allocate 7.45 GiB for an array\n"
 
 
 # ------------------------------------------------------------- observables

@@ -1,6 +1,6 @@
 """Golden-bytes gate: a small fixed set of CLI runs must reproduce their
-output files exactly, and pinned N = infinity observable values must not
-move.
+output files exactly, and pinned observable values (N = infinity and
+finite N) must not move.
 
 The digests are sha256 of each written file.  A change that moves an
 output bit fails here; rebaselining a digest belongs in a change that
@@ -31,6 +31,8 @@ RUNS = {
                    ("profile.csv", "profile.meta", "profile.gp")),
     "profile-txx": (["profile", "--observable", "txx", *PROFILE_ARGS],
                     ("profile.csv", "profile.meta")),
+    "profile-tzz": (["profile", "--observable", "tzz", *PROFILE_ARGS],
+                    ("profile.csv", "profile.meta")),
     "table1": (["table1", *TABLE1_ARGS], ("table1.csv",)),
     "profile-inf-mz": (["profile", "--observable", "mz", *INF_ARGS],
                        ("profile.csv", "profile.meta")),
@@ -49,6 +51,10 @@ GOLDEN = {
         "c99f4b07edc3f1b7b8e052ba6d41a66a7028001f9cbd639c3a70e2ed4f7bdc77",
     "profile-txx/profile.meta":
         "af8dbf0477d14ae9c58862cb69c28f27b73968dc928415d8dace321807b37c39",
+    "profile-tzz/profile.csv":
+        "6fa90d9ef811b2739197d07bc9409e5e9a6985b1532483cf2fe8b094c53e90fa",
+    "profile-tzz/profile.meta":
+        "b4a34e9dc80b27dca02f6e7ae3d3352160cd594b9e5ca821d37d57cb704df19b",
     "table1/table1.csv":
         "293b6f5ed097db7af52ba1a95478c23fc06c4a09206e02aad4f723ac9c252ac0",
     "profile-inf-mz/profile.csv":
@@ -97,6 +103,31 @@ INF_VALUES = {
 }
 
 
+# Finite-N values recorded with the unchunked momentum sum: {(observable,
+# gamma, beta_tilde, N): values at FINITE_LAMS}.  All must match exactly;
+# the profile digests above would not see a last-bit change of the sums.
+FINITE_LAMS = (-1.0, 0.5, 1.0 - 1e-9, 1.0, 1.5)
+FINITE_VALUES = {
+    ("mz", 0.5, math.inf, 14): (-0.6929808628551268, 0.43937267400205965,
+                                0.8358380050155195, 0.8358380057122697,
+                                0.9613496151460343),
+    ("mz", 0.5, 5.0, 40): (-0.696569008858794, 0.37460540743467935, 0.7465644684113966,
+                           0.7465644690719236, 0.941174062808009),
+    ("txx", 0.5, math.inf, 40): (-0.44380711656591726, -0.8858695842702263,
+                                 -0.4938071180853264, -0.49380711656591725,
+                                 -0.2443315951240529),
+    ("tzz", 0.5, math.inf, 40): (0.6233716381839033, 0.010585164683707363,
+                                 0.6834392489808713, 0.6834392513863871,
+                                 0.9524072866352579),
+    ("tzz", 1.0, math.inf, 1000): (0.5395290440454193, 0.09921265310242403,
+                                   0.5412266895855488, 0.5412266925829379,
+                                   0.8660888861252541),
+    ("g:3", 0.5, math.inf, 1000): (0.07792618489532192, -0.0055349484900751875,
+                                   0.07592618251411495, 0.07592618489532191,
+                                   0.03395753645239495),
+}
+
+
 def digests(tmp_path, name):
     argv, files = RUNS[name]
     out = tmp_path / name
@@ -123,3 +154,10 @@ def test_pinned_infinite_chain_values(key):
         assert got.tolist() == want.tolist()
     else:
         assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("key", sorted(FINITE_VALUES, key=repr))
+def test_pinned_finite_chain_values(key):
+    name, gamma, beta_tilde, size = key
+    curve = ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde, size)
+    assert curve(np.array(FINITE_LAMS)).tolist() == list(FINITE_VALUES[key])

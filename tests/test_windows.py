@@ -45,6 +45,14 @@ def test_window_spec_validation():
         W.WindowSpec(0.0, 1.0, 0.6, 0.01, 100)  # w > (b - a)/2
     with pytest.raises(ValueError):
         W.WindowSpec(0.0, 1.0, 0.1, 0.01, 99)  # too few samples
+    for eps in (1e-9, 5e-324):  # 9.5e8 and inf windows
+        with pytest.raises(ValueError, match="more than the cap"):
+            W.WindowSpec(0.5, 1.5, 0.05, eps, 100)
+    # a sweep of exactly MAX_WINDOWS windows is the largest allowed
+    last = 2.0 + (W.MAX_WINDOWS - 1)
+    assert W.WindowSpec(0.0, last, 2.0, 1.0, 100).count == W.MAX_WINDOWS
+    with pytest.raises(ValueError, match="more than the cap"):
+        W.WindowSpec(0.0, last + 1.0, 2.0, 1.0, 100)
 
 
 def test_window_counts_presets():

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from benfordxy import xy_model
 from benfordxy.xy_model import (
     ModelParams,
     ObservableCurve,
@@ -29,6 +30,9 @@ def test_params_validation():
         ModelParams(1.0, 1.0, system_size=7)  # odd
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, system_size=2)  # too small
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ModelParams(1.0, gamma)
     ModelParams(1.0, -0.5)  # negative anisotropy is allowed
 
 
@@ -111,15 +115,38 @@ def test_kind_parse_and_label():
         ObservableKind.parse("sx")
 
 
+def _pointwise(name, beta_tilde, lams, size):
+    """One scalar (one-row) call per field value."""
+
+    def mz(lam):
+        return magnetization(ModelParams(lam, 0.5, beta_tilde, size))
+
+    def tzz(lam):
+        m = mz(lam)
+        return m * m - correlator_G(-1, lam, 0.5, size) * correlator_G(1, lam, 0.5, size)
+
+    scalar = {"mz": mz, "txx": lambda lam: correlator_G(-1, lam, 0.5, size),
+              "g:3": lambda lam: correlator_G(3, lam, 0.5, size), "tzz": tzz}[name]
+    return np.array([scalar(lam) for lam in lams.tolist()])
+
+
 def test_curve_matches_pointwise_calls():
-    lams = np.array([0.5, 0.9, 1.0, 1.1, 1.5])
-    curve = ObservableCurve(ObservableKind("mz"), gamma=0.5, size=40)
-    vals = curve(lams)
-    for lam, v in zip(lams, vals):
-        assert v == magnetization(ModelParams(float(lam), 0.5, system_size=40))
-    tzz = ObservableCurve(ObservableKind("tzz"), gamma=0.5, size=40)(lams)
-    for lam, v in zip(lams, tzz):
-        assert abs(v - correlators_nn(float(lam), 0.5, 40)[2]) < 1e-15
+    # Field arrays of every length around a chunk boundary, and a 2-D one,
+    # give each element the exact bits of its own scalar call.  N = 14 and
+    # 1000 differ in rows per chunk; lam = -1 puts a zero quasiparticle
+    # energy (phi = pi) into the first row.
+    pool = np.linspace(-1.0, 2.0, 2500)
+    for size in (14, 1000):
+        rows = xy_model.CHUNK_ELEMENTS // (size // 2)
+        for name, beta_tilde in (("mz", math.inf), ("mz", 5.0), ("txx", math.inf),
+                                 ("g:3", math.inf), ("tzz", math.inf)):
+            want = _pointwise(name, beta_tilde, pool, size)
+            curve = ObservableCurve(ObservableKind.parse(name), 0.5, beta_tilde, size)
+            for length in (1, rows - 1, rows, rows + 1, pool.size):
+                assert np.array_equal(curve(pool[:length]), want[:length]), (name, length)
+            got = curve(pool.reshape(50, 50))
+            assert got.shape == (50, 50)
+            assert np.array_equal(got.reshape(-1), want), name
 
 
 def test_curve_is_picklable():
@@ -152,3 +179,6 @@ def test_scalar_and_array_field_shapes():
     assert np.shape(mz_curve(0.9, 0.5, size=20)) == ()
     assert mz_curve(np.linspace(0.5, 1.5, 7), 0.5, size=20).shape == (7,)
     assert mz_curve([1.0], 1.0).shape == (1,)
+    for name in ("mz", "tzz"):
+        curve = ObservableCurve(ObservableKind(name), gamma=0.5, size=20)
+        assert curve(np.zeros((0, 3))).shape == (0, 3)
