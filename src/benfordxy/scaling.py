@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .windows import fmt17
 
@@ -230,6 +229,8 @@ def scaling_fit(points, mode: str = "fixed", lambda_c: float = 1.0) -> ScalingRe
 
     def model(nn, lc, alpha, q):
         return lc + alpha * nn ** (-q)
+
+    from scipy import optimize  # here only: importing it is most of the CLI's start-up
 
     try:
         popt, pcov = optimize.curve_fit(

@@ -93,12 +93,14 @@ def midpoints(spec: WindowSpec) -> np.ndarray:
 
 
 def normalize(data) -> np.ndarray:
-    """Min-max map onto [0, 1]; rejects constant data."""
+    """Min-max map onto [0, 1]; rejects non-finite and constant data."""
     arr = np.asarray(data, dtype=float)
     if arr.size < 2:
         raise ValueError("normalization needs at least 2 points")
     lo = arr.min()
     hi = arr.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN makes both NaN
+        raise ValueError("window has non-finite observable values")
     if not hi > lo:
         raise DegenerateWindowError("constant data has no min-max normalization")
     return (arr - lo) / (hi - lo)

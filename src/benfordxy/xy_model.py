@@ -10,6 +10,18 @@ is the transverse Ising chain) and the inverse temperature beta_tilde, where
 thermal tanh factor is replaced by 1, never by a large finite argument).
 
 The thermodynamic limit is requested with ``system_size=None``.
+
+Both sizes share one set of term expressions (`_terms`).  With
+d = cos phi - lam and the quasiparticle energy L = sqrt(s2 + d*d),
+s2 = (gamma sin phi)^2, the M_z term is [tanh(bt*L/2)] d/L (M_z is minus
+its mean) and the G(r) term is (a_r - b_r d)/L with a_r =
+gamma sin(r phi) sin phi and b_r = cos(r phi).  cos phi, s2, a_r and b_r
+depend only on the modes, so they are computed once per call (at N = inf
+the modes are the quadrature nodes of one integrand call).  A term is 0
+where L = 0.  That guard runs only when s2 = 0 at some mode: otherwise
+L >= sqrt(s2) > 0 for every field.  It always runs at N = inf, whose nodes
+include phi = 0, and at finite N only when (gamma sin(pi))^2 underflows,
+i.e. |gamma| below about 1e-146.
 """
 
 from __future__ import annotations
@@ -80,36 +92,99 @@ class ObservableKind:
         return f"g:{self.r}" if self.name == "g" else self.name
 
 
+def _energy(d, s2, out=None):
+    """Quasiparticle energy sqrt(s2 + d*d) from d = cos phi - lam and
+    s2 = (gamma sin phi)^2, written into out when given."""
+    energy = np.multiply(d, d, out=out)
+    energy += s2
+    return np.sqrt(energy, out=out)
+
+
 def dispersion(phi, lam, gamma):
     """Quasiparticle energy sqrt(gamma^2 sin^2 phi + (lam - cos phi)^2).
 
     Accepts scalars or arrays; even in gamma by construction.
     """
     s = gamma * np.sin(phi)
-    c = lam - np.cos(phi)
-    return np.sqrt(s * s + c * c)
+    return _energy(np.cos(phi) - lam, s * s)
 
 
 def _momenta(size: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
 
 
-def _over_energy(num, energy):
-    """num / energy, with 0 where the quasiparticle energy vanishes."""
-    return np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
+@dataclass(frozen=True)
+class _Modes:
+    """Field-independent constants of one call at its modes phi (the momenta
+    at finite N, the quadrature nodes at N = inf): cos phi, s2 =
+    (gamma sin phi)^2 and, per G offset r, a = gamma sin(r phi) sin phi and
+    b = cos(r phi).  guard is False when s2 > 0 at every mode: then
+    Lambda >= sqrt(s2) > 0 for every field, and no zero energy is possible."""
+
+    cos: np.ndarray
+    s2: np.ndarray
+    guard: bool
+    g: tuple
+
+    @classmethod
+    def at(cls, phi, gamma, offsets):
+        s = gamma * np.sin(phi)
+        s2 = s * s
+        g = tuple((gamma * np.sin(r * phi) * np.sin(phi), np.cos(r * phi)) for r in offsets)
+        return cls(np.cos(phi), s2, not np.all(s2 > 0.0), g)
 
 
-def _momentum_mean(integrand, lams, size) -> np.ndarray:
-    """Per field lam: (2/N) sum_p integrand(phi_p, lam) at finite size N, or
-    (1/pi) int_0^pi integrand(phi, lam) dphi at N = inf (size None).
+def _terms(modes: _Modes, lam, beta_tilde, with_mz, work=(None, None, None)):
+    """Yield the momentum-sum terms at the fields lam, in order: the M_z
+    term [tanh(bt*L/2)] (cos phi - lam)/L if with_mz (without M_z's minus
+    sign; the tanh factor is exactly 1 at bt = inf), then one G(r) term
+    [gamma sin(r phi) sin phi - cos(r phi)(cos phi - lam)]/L per offset.
 
-    The integrand returns a tuple of term arrays, one per mean, and the
-    means are stacked on a leading axis: shape (terms,) + lams.shape.  At
-    finite N the lams are summed in chunks of about CHUNK_ELEMENTS terms,
-    each row on its own, so a chunk's temporaries stay in cache and no
-    value depends on the chunk size.  At N = inf one quadrature call
-    integrates every lam of a one-term integrand at once: each lam is a
-    row of the batched adaptive Simpson rule.
+    Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
+    where L is 0 (only when modes.guard).  work holds the d, L and term
+    arrays, or None to allocate them; the term array is reused, so reduce
+    each term before drawing the next.
+    """
+    d_out, energy_out, term_out = work
+    d = np.subtract(modes.cos, lam, out=d_out)
+    energy = _energy(d, modes.s2, out=energy_out)
+    zero = None
+    if modes.guard:
+        zero = energy == 0.0
+        np.copyto(energy, 1.0, where=zero)  # the terms there are set to 0 below
+    if with_mz:
+        if math.isinf(beta_tilde):
+            term = np.divide(d, energy, out=term_out)
+        else:
+            term = np.multiply(energy, 0.5 * beta_tilde, out=term_out)
+            np.tanh(term, out=term)
+            term *= d
+            term /= energy
+        if zero is not None:
+            np.copyto(term, 0.0, where=zero)
+        yield term
+    for a, b in modes.g:
+        term = np.multiply(b, d, out=term_out)
+        np.subtract(a, term, out=term)
+        term /= energy
+        if zero is not None:
+            np.copyto(term, 0.0, where=zero)
+        yield term
+
+
+def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
+                   offsets=()) -> np.ndarray:
+    """Per field lam, the mean of each `_terms` term over the modes:
+    (2/N) sum_p at finite size N, or (1/pi) int_0^pi dphi at N = inf (size
+    None).  The means are stacked on a leading axis: shape (terms,) +
+    lams.shape.
+
+    At finite N the mode constants are computed once per call and the lams
+    are summed in chunks of about CHUNK_ELEMENTS terms, each row on its own,
+    through work arrays allocated once per call, so a chunk stays in cache
+    and no value depends on the chunk size.  At N = inf one quadrature call
+    integrates every lam of a one-term mean at once: each lam is a row of
+    the batched adaptive Simpson rule, and the modes are its nodes.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
@@ -117,36 +192,25 @@ def _momentum_mean(integrand, lams, size) -> np.ndarray:
 
         def at_nodes(pair):
             row, phi = pair
-            (terms,) = integrand(phi, flat[row])
-            return terms
+            (term,) = _terms(_Modes.at(phi, gamma, offsets), flat[row], beta_tilde, with_mz)
+            return term
 
         out = integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size)[None] / math.pi
     else:
-        phi = _momenta(size)[None, :]
-        rows = max(1, CHUNK_ELEMENTS // phi.size)
-        out = None
-        for start in range(0, max(flat.size, 1), rows):  # empty lams: one empty chunk
-            parts = integrand(phi, flat[start:start + rows, None])
-            if out is None:
-                out = np.empty((len(parts), flat.size))
-            for dest, terms in zip(out, parts):
-                dest[start:start + rows] = terms.sum(axis=1)
+        modes = _Modes.at(_momenta(size)[None, :], gamma, offsets)
+        rows = max(1, CHUNK_ELEMENTS // (size // 2))
+        # one block for the three work arrays: with three separate ones,
+        # glibc's heap trimming made some processes refault them every window
+        work = np.empty((3, min(rows, flat.size), size // 2))
+        out = np.empty((with_mz + len(offsets), flat.size))
+        for start in range(0, flat.size, rows):
+            stop = min(start + rows, flat.size)
+            chunk = work[:, : stop - start]
+            terms = _terms(modes, flat[start:stop, None], beta_tilde, with_mz, chunk)
+            for dest, term in zip(out, terms):
+                term.sum(axis=1, out=dest[start:stop])
         out *= 2.0 / size
     return out.reshape(out.shape[:1] + lams.shape)
-
-
-def _mz_terms(phi, lam, energy, beta_tilde):
-    """M_z integrand tanh(bt*L/2)(cos phi - lam)/L, without its minus sign."""
-    num = np.cos(phi) - lam  # the tanh factor is exactly 1 at bt = inf
-    if not math.isinf(beta_tilde):
-        num = np.tanh(0.5 * beta_tilde * energy) * num
-    return _over_energy(num, energy)
-
-
-def _g_terms(r, phi, lam, gamma, energy):
-    """G(r) integrand [gamma sin(r phi) sin phi - cos(r phi)(cos phi - lam)]/L."""
-    num = gamma * np.sin(r * phi) * np.sin(phi) - np.cos(r * phi) * (np.cos(phi) - lam)
-    return _over_energy(num, energy)
 
 
 def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
@@ -155,11 +219,7 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     Finite size: -(2/N) sum_p tanh(bt*L_p/2)(cos phi_p - lam)/L_p.
     Infinite size: the same integrand averaged over [0, pi] by quadrature.
     """
-
-    def integrand(phi, lam):
-        return (_mz_terms(phi, lam, dispersion(phi, lam, gamma), beta_tilde),)
-
-    return -_momentum_mean(integrand, lams, size)[0]
+    return -_momentum_mean(lams, size, gamma, beta_tilde, with_mz=True)[0]
 
 
 def magnetization(params: ModelParams) -> float:
@@ -178,11 +238,7 @@ def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
     """
     if size is not None and abs(r) > size // 2:
         raise ValueError(f"offset |r|={abs(r)} exceeds N/2={size // 2}")
-
-    def integrand(phi, lam):
-        return (_g_terms(r, phi, lam, gamma, dispersion(phi, lam, gamma)),)
-
-    return _momentum_mean(integrand, lams, size)[0]
+    return _momentum_mean(lams, size, gamma, offsets=(r,))[0]
 
 
 def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:
@@ -202,14 +258,7 @@ def tzz_curve(lams, gamma, size=None) -> np.ndarray:
         gm = correlator_curve(-1, lams, gamma)
         gp = correlator_curve(1, lams, gamma)
     else:
-
-        def integrand(phi, lam):
-            energy = dispersion(phi, lam, gamma)
-            return (_mz_terms(phi, lam, energy, math.inf),
-                    _g_terms(-1, phi, lam, gamma, energy),
-                    _g_terms(1, phi, lam, gamma, energy))
-
-        neg_mz, gm, gp = _momentum_mean(integrand, lams, size)
+        neg_mz, gm, gp = _momentum_mean(lams, size, gamma, with_mz=True, offsets=(-1, 1))
         mz = -neg_mz
     return mz * mz - gm * gp
 

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import benfordxy
 from benfordxy import cli
 
 
@@ -93,6 +97,17 @@ def test_memory_error_exits_2(capsys, monkeypatch):
                         "--n", "100", "--jobs", "1"], capsys)
     assert code == 2
     assert err == "error[memory]: Unable to allocate 7.45 GiB for an array\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the free-mode scaling fit; at start-up it
+    # would be most of the import time of every command
+    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, benfordxy.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # ------------------------------------------------------------- observables

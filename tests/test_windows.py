@@ -114,6 +114,21 @@ def test_normalize_rejects_degenerate_data():
         W.normalize(np.full(50, 3.14))
     with pytest.raises(ValueError):
         W.normalize([1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite observable values"):
+            W.normalize([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite observable values"):
+        W.normalize(np.full(50, math.nan))
+
+
+def test_profile_names_non_finite_windows():
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 100)
+
+    def nan_above_one(lams):
+        return np.where(lams > 1.0, math.nan, lams)
+
+    with pytest.raises(ValueError, match="non-finite observable values"):
+        W.profile(nan_above_one, spec, k=1, distance="md")
 
 
 def test_window_violation_rejects_constant_curve():

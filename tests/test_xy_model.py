@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from benfordxy import xy_model
+from benfordxy.quadrature import integrate
 from benfordxy.xy_model import (
     ModelParams,
     ObservableCurve,
@@ -133,8 +134,9 @@ def _pointwise(name, beta_tilde, lams, size):
 def test_curve_matches_pointwise_calls():
     # Field arrays of every length around a chunk boundary, and a 2-D one,
     # give each element the exact bits of its own scalar call.  N = 14 and
-    # 1000 differ in rows per chunk; lam = -1 puts a zero quasiparticle
-    # energy (phi = pi) into the first row.
+    # 1000 differ in rows per chunk; lam = -1 puts the smallest
+    # quasiparticle energy (phi = pi) into the first row.  It is not zero:
+    # sin(pi) is 1.2e-16 in doubles, so Lambda there is 6e-17.
     pool = np.linspace(-1.0, 2.0, 2500)
     for size in (14, 1000):
         rows = xy_model.CHUNK_ELEMENTS // (size // 2)
@@ -147,6 +149,74 @@ def test_curve_matches_pointwise_calls():
             got = curve(pool.reshape(50, 50))
             assert got.shape == (50, 50)
             assert np.array_equal(got.reshape(-1), want), name
+
+
+def _reference(name, beta_tilde, lams, gamma, size):
+    """The momentum sum as first written: the dispersion expression, the
+    numerator in cos phi - lam, the np.where zero-energy guard and one
+    sum(axis=1) over the whole (fields, modes) array."""
+    phi = (2.0 * np.pi * np.arange(1, size // 2 + 1) / size)[None, :]
+    lam = lams[:, None]
+    s = gamma * np.sin(phi)
+    c = lam - np.cos(phi)
+    energy = np.sqrt(s * s + c * c)
+
+    def mean(num):
+        term = np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
+        return term.sum(axis=1) * (2.0 / size)
+
+    def g(r):
+        return mean(gamma * np.sin(r * phi) * np.sin(phi) - np.cos(r * phi) * (np.cos(phi) - lam))
+
+    num = np.cos(phi) - lam
+    if not math.isinf(beta_tilde):
+        num = np.tanh(0.5 * beta_tilde * energy) * num
+    mz = -mean(num)
+    return {"mz": lambda: mz, "txx": lambda: g(-1), "tyy": lambda: g(1),
+            "g:3": lambda: g(3), "tzz": lambda: mz * mz - g(-1) * g(1)}[name]()
+
+
+@pytest.mark.parametrize("size", (4, 14, 40, 1000))
+@pytest.mark.parametrize("gamma", (0.5, 1.0, -0.3, 1e-200))
+def test_kernel_keeps_reference_bits(size, gamma):
+    # Every cos(phi_p) and lam = +-1 are fields.  At gamma = 1e-200,
+    # (gamma sin phi)^2 underflows to 0, so lam = cos(phi_p) meets a true
+    # zero energy and the guard sets its term to 0.
+    phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+    lams = np.concatenate((np.linspace(-1.5, 2.5, 1201), np.cos(phi), [-1.0, 1.0]))
+    assert np.any(dispersion(phi, np.cos(phi), gamma) == 0.0) == (gamma == 1e-200)
+    for name, beta_tilde in (("mz", math.inf), ("mz", 5.0), ("txx", math.inf),
+                             ("tyy", math.inf), ("g:3", math.inf), ("tzz", math.inf)):
+        if name == "g:3" and size < 6:
+            continue  # |r| > N/2
+        curve = ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde, size)
+        want = _reference(name, beta_tilde, lams, gamma, size)
+        assert curve(lams).tobytes() == want.tobytes(), (name, beta_tilde)
+
+
+def test_thermodynamic_limit_keeps_reference_bits():
+    # At N = inf the quadrature nodes are the modes; the integrand is the
+    # reference expression, and one batched integral gives each field's bits.
+    lams = np.array([0.3, 1.0, 1.7])
+    gamma = 0.5
+
+    def reference(num_of):
+        def at_nodes(pair):
+            row, phi = pair
+            lam = lams[row]
+            s = gamma * np.sin(phi)
+            c = lam - np.cos(phi)
+            energy = np.sqrt(s * s + c * c)
+            num = num_of(phi, lam)
+            return np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
+
+        return integrate(at_nodes, 0.0, math.pi, tol=xy_model.QUAD_TOL, rows=lams.size) / math.pi
+
+    want_mz = -reference(lambda phi, lam: np.cos(phi) - lam)
+    want_txx = reference(lambda phi, lam: gamma * np.sin(-phi) * np.sin(phi)
+                         - np.cos(-phi) * (np.cos(phi) - lam))
+    assert mz_curve(lams, gamma).tobytes() == want_mz.tobytes()
+    assert correlator_curve(-1, lams, gamma).tobytes() == want_txx.tobytes()
 
 
 def test_curve_is_picklable():
