@@ -61,14 +61,18 @@ def _floor_scale(ax: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     Negative powers divide by the exact positive power instead of
     multiplying by a reciprocal (10**-q is never a double, so that
-    product would round twice).
+    product would round twice).  When every power has one sign (always so
+    for min-max normalized data) no entry is gathered by mask.
     """
-    scaled = np.empty_like(ax)
     neg = p < 0
-    if neg.any():
+    if not neg.any():
+        scaled = ax * _pow10(p)
+    elif neg.all():
+        scaled = ax / _pow10(-p)
+    else:
+        scaled = np.empty_like(ax)
         scaled[neg] = ax[neg] / _pow10(-p[neg])
-    pos = ~neg
-    if pos.any():
+        pos = ~neg
         scaled[pos] = ax[pos] * _pow10(p[pos])
     return np.floor(scaled).astype(np.int64)
 
@@ -106,21 +110,27 @@ def digit_keys(values, k: int) -> np.ndarray:
     # lift near-denormals so the 10**(k-1-e) scale factor stays finite
     tiny = ax < 1e-290
     if tiny.any():
-        ax = np.where(tiny, ax * 1e300, ax)
+        ax[tiny] *= 1e300
     exp = np.floor(np.log10(ax)).astype(np.int64)
     # floor(log10) lands one decade off when the value sits within an ulp
-    # of a decade boundary; verify against the boundary doubles
-    off = ax < _pow10(exp)
+    # of a decade boundary; verify against the boundary doubles.  low is
+    # the boundary double of the decade exp throughout.
+    low = _pow10(exp)
+    off = ax < low
     if off.any():
         exp[off] -= 1
-    off = ax >= _pow10(exp + 1)
+        low[off] = _pow10(exp[off])
+    high = _pow10(exp + 1)
+    off = ax >= high
     if off.any():
         exp[off] += 1
+        low[off] = high[off]
     # a value equal to a boundary double that itself sits below its decade
     # (1e23 stores as 9.99...e22) has stored digits of all nines, so it
     # keys one decade down
-    bnd = _POW10_BELOW[exp + _POW_RANGE] & (ax == _pow10(exp))
+    bnd = ax == low
     if bnd.any():
+        bnd[bnd] = _POW10_BELOW[exp[bnd] + _POW_RANGE]
         exp[bnd] -= 1
     lo, hi = key_bounds(k)
     m = _floor_scale(ax, (k - 1) - exp)
@@ -210,12 +220,11 @@ def key_histograms(nonzero, ks) -> dict[int, np.ndarray]:
 
 def combo_distances(nonzero, combos) -> list[float]:
     """Distance of nonzero values from the Benford law for each (k, distance)
-    combo, every depth from one `key_histograms` pass."""
+    combo, every depth from one `key_histograms` pass and one expected table
+    per depth."""
     counts = key_histograms(nonzero, {k for k, _ in combos})
-    return [
-        _RAW_DISTANCES[d](counts[k], counts[k].sum() * benford_probabilities(k))
-        for k, d in combos
-    ]
+    expected = {k: c.sum() * benford_probabilities(k) for k, c in counts.items()}
+    return [_RAW_DISTANCES[d](counts[k], expected[k]) for k, d in combos]
 
 
 def _check_pair(observed: FrequencyTable, expected: FrequencyTable):

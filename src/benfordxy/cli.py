@@ -238,9 +238,13 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _curve(cfg: RunConfig, size, kind_name=None) -> ObservableCurve:
-    kind = ObservableKind.parse(kind_name or cfg.observable)
+def _curve(cfg: RunConfig, size, kind_names=None) -> ObservableCurve:
+    """The curve of cfg.observable, or the joint curve of kind_names."""
     try:
+        if kind_names is None:
+            kind = ObservableKind.parse(cfg.observable)
+        else:
+            kind = tuple(ObservableKind.parse(name) for name in kind_names)
         return ObservableCurve(kind, cfg.gamma, cfg.beta_tilde, size)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -339,37 +343,37 @@ def _scaling_sizes(cfg: RunConfig) -> tuple:
     return sizes
 
 
-def _pseudo_criticals(cfg: RunConfig, kind_name, sizes, ks, distances):
-    """lambda_c^N per (k, distance, N) sharing one sampling pass per (N, n)."""
+def _pseudo_criticals(cfg: RunConfig, columns, sizes, ks):
+    """lambda_c^N per (observable, k, distance, N) for columns, a dict
+    {observable name: distances}: one sampling pass per (N, n) evaluates
+    every observable of columns at once, from one joint curve."""
     points = {}
     # domain and geometry errors come before the first profile
-    curves = {size: _curve(cfg, size, kind_name) for size in sizes}
+    curves = {size: _curve(cfg, size, tuple(columns)) for size in sizes}
     by_n = {}
     for k in ks:
         by_n.setdefault(cfg.resolved_n(k), []).append(k)
     passes = [(_window_spec(cfg, n), k_group) for n, k_group in sorted(by_n.items())]
     for size, curve in curves.items():
         for spec, k_group in passes:
-            profs = profile_set(
-                curve, spec, k_group, distances, jobs=cfg.resolved_jobs()
+            parts = profile_set(
+                curve, spec, k_group, list(columns.values()), jobs=cfg.resolved_jobs()
             )
-            for (k, d), prof in profs.items():
-                try:
-                    lc, _ = sc.profile_pseudo_critical(prof.points, cfg.fit_window)
-                    points.setdefault((k, d), []).append((size, lc))
-                except (sc.FitError, ValueError) as exc:
-                    print(
-                        f"warning: {kind_name or cfg.observable} N={size} k={k} "
-                        f"{d}: {exc}",
-                        file=sys.stderr,
-                    )
+            for name, profs in zip(columns, parts):
+                for (k, d), prof in profs.items():
+                    try:
+                        lc, _ = sc.profile_pseudo_critical(prof.points, cfg.fit_window)
+                        points.setdefault((name, k, d), []).append((size, lc))
+                    except (sc.FitError, ValueError) as exc:
+                        print(f"warning: {name} N={size} k={k} {d}: {exc}",
+                              file=sys.stderr)
     return points
 
 
 def cmd_scaling(cfg: RunConfig) -> int:
     sizes = _scaling_sizes(cfg)
-    points = _pseudo_criticals(cfg, None, sizes, [cfg.k], [cfg.distance])
-    pts = points.get((cfg.k, cfg.distance), [])
+    points = _pseudo_criticals(cfg, {cfg.observable: [cfg.distance]}, sizes, [cfg.k])
+    pts = points.get((cfg.observable, cfg.k, cfg.distance), [])
     result = sc.scaling_fit(pts, cfg.scaling_mode, cfg.lambda_c)
     record = sc.scaling_record_text(result)
     sys.stdout.write(record)
@@ -389,15 +393,15 @@ def cmd_table1(cfg: RunConfig) -> int:
             "finite-temperature form"
         )
     ks = (1, 2, 3, 4)
+    columns = {}
+    for obs, d in TABLE1_COLUMNS:
+        columns.setdefault(obs, []).append(d)
     cells = {}
-    for obs in ("mz", "txx"):
-        dists = [d for o, d in TABLE1_COLUMNS if o == obs]
-        points = _pseudo_criticals(cfg, obs, sizes, ks, dists)
-        for (k, d), pts in points.items():
-            try:
-                cells[(obs, d, k)] = sc.scaling_fit(pts, cfg.scaling_mode, cfg.lambda_c)
-            except (sc.FitError, ValueError) as exc:
-                print(f"warning: cell {obs}/{d}/k={k} failed: {exc}", file=sys.stderr)
+    for (obs, k, d), pts in _pseudo_criticals(cfg, columns, sizes, ks).items():
+        try:
+            cells[(obs, d, k)] = sc.scaling_fit(pts, cfg.scaling_mode, cfg.lambda_c)
+        except (sc.FitError, ValueError) as exc:
+            print(f"warning: cell {obs}/{d}/k={k} failed: {exc}", file=sys.stderr)
     header = ["k"]
     for obs, d in TABLE1_COLUMNS:
         header += [f"q_{d}_{obs}", f"resid_{d}_{obs}"]

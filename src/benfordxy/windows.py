@@ -13,7 +13,8 @@ window indices to a process pool of min(jobs, blocks, cores) workers and
 assembles results by index, so the output is bit-identical for any worker
 count.  `profile_set` evaluates several (k, distance) combinations from
 one sampling and one digit-key pass per window, which is how the scaling
-pipeline keeps its runtime sane.
+pipeline keeps its runtime sane; a joint observable (several observables
+evaluated as rows of one call) shares that sampling across them too.
 """
 
 from __future__ import annotations
@@ -106,17 +107,23 @@ def normalize(data) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def _window_deltas(observable, window, n: int, combos) -> list[float]:
-    """Distances for each (k, distance) combo from one window of n samples."""
-    normed = normalize(observable(np.linspace(*window, n)))
-    # normalize maps the maximum to 1.0, so at least one sample is nonzero
-    return benford.combo_distances(normed[normed != 0.0], combos)
+def _window_deltas(observable, window, n: int, part_combos) -> list[float]:
+    """Distances for each part's (k, distance) combos, in order, from one
+    window of n samples: one evaluation of the observable, then one
+    normalization and one digit-key pass per part (row of its values)."""
+    rows = np.reshape(observable(np.linspace(*window, n)), (len(part_combos), n))
+    deltas = []
+    for values, combos in zip(rows, part_combos):
+        normed = normalize(values)
+        # normalize maps the maximum to 1.0, so at least one sample is nonzero
+        deltas += benford.combo_distances(normed[normed != 0.0], combos)
+    return deltas
 
 
 def window_violation(observable, window, n: int, k: int, distance: str) -> float:
     """Distance of one window's normalized samples from the Benford law."""
     _check_distance(distance)
-    return _window_deltas(observable, window, n, [(k, distance)])[0]
+    return _window_deltas(observable, window, n, [[(k, distance)]])[0]
 
 
 def _check_distance(distance: str):
@@ -155,10 +162,11 @@ class ViolationProfile:
         return np.column_stack((self.lambdas, self.deltas))
 
 
-def _eval_block(observable, spec: WindowSpec, start: int, stop: int, combos):
-    """Distances for windows start..stop-1; shape (stop-start, len(combos))."""
+def _eval_block(observable, spec: WindowSpec, start: int, stop: int, part_combos):
+    """Distances for windows start..stop-1; shape (stop-start, combos of all
+    parts)."""
     return np.array([
-        _window_deltas(observable, _window(spec, m), spec.n, combos)
+        _window_deltas(observable, _window(spec, m), spec.n, part_combos)
         for m in range(start, stop)
     ])
 
@@ -184,13 +192,24 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     Returns a dict {(k, distance): ViolationProfile}.  Each window is
     sampled, normalized and digit-keyed once, at the deepest k; shallower
     depths are folded from that histogram (`benford.key_histograms`).
+
+    A joint observable, one with a `parts` tuple whose call returns one row
+    per part (an `ObservableCurve` of several kinds), is sampled and
+    evaluated once per window for all its parts.  distances then holds one
+    sequence of distances per part, and one dict per part is returned.
     """
+    parts = getattr(observable, "parts", None)
+    per_part = [distances] if parts is None else list(distances)
+    if parts is not None and len(per_part) != len(parts):
+        raise ValueError(f"need one distance list per part, got {len(per_part)}")
     ks = list(dict.fromkeys(ks))
-    distances = list(dict.fromkeys(distances))
-    for d in distances:
-        _check_distance(d)
-    combos = [(k, d) for k in ks for d in distances]
-    if not combos:
+    part_combos = []
+    for dists in per_part:
+        dists = list(dict.fromkeys(dists))
+        for d in dists:
+            _check_distance(d)
+        part_combos.append([(k, d) for k in ks for d in dists])
+    if not all(part_combos):
         raise ValueError("need at least one (k, distance) combination")
     count = spec.count
     blocks = [(s, min(s + _BLOCK, count)) for s in range(0, count, _BLOCK)]
@@ -198,19 +217,22 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_eval_block, observable, spec, s, t, combos)
+                pool.submit(_eval_block, observable, spec, s, t, part_combos)
                 for s, t in blocks
             ]
             rows = [fut.result() for fut in futures]
     else:
-        rows = [_eval_block(observable, spec, s, t, combos) for s, t in blocks]
+        rows = [_eval_block(observable, spec, s, t, part_combos) for s, t in blocks]
     table = np.ascontiguousarray(np.concatenate(rows).T)  # one row per combo
     mids = midpoints(spec)
     mids.flags.writeable = table.flags.writeable = False
-    return {
-        (k, d): ViolationProfile(mids, table[col], _meta_for(observable, spec, k, d))
-        for col, (k, d) in enumerate(combos)
-    }
+    columns = iter(table)
+    profiles = [
+        {(k, d): ViolationProfile(mids, next(columns), _meta_for(part, spec, k, d))
+         for k, d in combos}
+        for part, combos in zip(parts or [observable], part_combos)
+    ]
+    return profiles[0] if parts is None else profiles
 
 
 def profile(observable, spec: WindowSpec, k: int, distance: str, jobs: int = 1):

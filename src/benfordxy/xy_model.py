@@ -26,6 +26,7 @@ i.e. |gamma| below about 1e-146.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,10 +37,18 @@ from .quadrature import integrate
 
 #: tolerance for thermodynamic-limit momentum integrals
 QUAD_TOL = 1e-10
-#: elements per chunk of a finite-N momentum sum (rows x modes); bounds the
-#: temporaries to a cache-sized block, like quadrature.ROWS_PER_BATCH, and
-#: never changes a result (rows are summed independently)
-CHUNK_ELEMENTS = 16384
+#: most field columns per chunk of a finite-N momentum sum (the fields are
+#: split into equal chunks); no value depends on it, since each field's
+#: column is summed on its own
+CHUNK_COLUMNS = 8192
+#: numpy's float add.reduce (its pairwise_sum): 8 accumulators over leaves
+#: of at most 128 elements, split in halves rounded down to a multiple of 8
+PAIRWISE_UNROLL = 8
+PAIRWISE_LEAF = 128
+#: most terms (modes x fields) one array operation of a finite-N sum
+#: evaluates: runs of modes are a multiple of PAIRWISE_UNROLL high, up to
+#: PAIRWISE_LEAF, so a call with few fields makes few operations
+RUN_ELEMENTS = 65536
 
 _OBSERVABLE_NAMES = ("mz", "txx", "tyy", "tzz", "g")
 
@@ -133,30 +142,37 @@ class _Modes:
         g = tuple((gamma * np.sin(r * phi) * np.sin(phi), np.cos(r * phi)) for r in offsets)
         return cls(np.cos(phi), s2, not np.all(s2 > 0.0), g)
 
+    def rows(self, lo, hi) -> "_Modes":
+        """The constants of modes lo..hi-1 (modes on the leading axis)."""
+        g = tuple((a[lo:hi], b[lo:hi]) for a, b in self.g)
+        return _Modes(self.cos[lo:hi], self.s2[lo:hi], self.guard, g)
 
-def _terms(modes: _Modes, lam, beta_tilde, with_mz, work=(None, None, None)):
+
+def _terms(modes: _Modes, lam, beta_tilde, with_mz, d_out=None, energy_out=None,
+           term_outs=None):
     """Yield the momentum-sum terms at the fields lam, in order: the M_z
     term [tanh(bt*L/2)] (cos phi - lam)/L if with_mz (without M_z's minus
     sign; the tanh factor is exactly 1 at bt = inf), then one G(r) term
     [gamma sin(r phi) sin phi - cos(r phi)(cos phi - lam)]/L per offset.
 
     Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
-    where L is 0 (only when modes.guard).  work holds the d, L and term
-    arrays, or None to allocate them; the term array is reused, so reduce
-    each term before drawing the next.
+    where L is 0 (only when modes.guard).  d, L and the terms are written
+    into the given arrays, one per term in term_outs, or allocated when
+    None; an array repeated in term_outs is reused, so reduce each term
+    before drawing the next.
     """
-    d_out, energy_out, term_out = work
     d = np.subtract(modes.cos, lam, out=d_out)
     energy = _energy(d, modes.s2, out=energy_out)
+    outs = iter(term_outs) if term_outs is not None else itertools.repeat(None)
     zero = None
     if modes.guard:
         zero = energy == 0.0
         np.copyto(energy, 1.0, where=zero)  # the terms there are set to 0 below
     if with_mz:
         if math.isinf(beta_tilde):
-            term = np.divide(d, energy, out=term_out)
+            term = np.divide(d, energy, out=next(outs))
         else:
-            term = np.multiply(energy, 0.5 * beta_tilde, out=term_out)
+            term = np.multiply(energy, 0.5 * beta_tilde, out=next(outs))
             np.tanh(term, out=term)
             term *= d
             term /= energy
@@ -164,12 +180,97 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, work=(None, None, None)):
             np.copyto(term, 0.0, where=zero)
         yield term
     for a, b in modes.g:
-        term = np.multiply(b, d, out=term_out)
+        term = np.multiply(b, d, out=next(outs))
         np.subtract(a, term, out=term)
         term /= energy
         if zero is not None:
             np.copyto(term, 0.0, where=zero)
         yield term
+
+
+def _pairwise_split(n: int) -> int:
+    """Length of the first half when numpy's pairwise_sum splits n elements."""
+    half = n // 2
+    return half - half % PAIRWISE_UNROLL
+
+
+def _pairwise_levels(n: int) -> int:
+    """Partial sums a pairwise sum of n elements holds at once beside its
+    result: one per split on the path to its deepest second half."""
+    if n <= PAIRWISE_LEAF:
+        return 0
+    half = _pairwise_split(n)
+    return max(_pairwise_levels(half), 1 + _pairwise_levels(n - half))
+
+
+def _sum_rows(count: int, terms: int, height: int) -> int:
+    """Rows of work `_pairwise_mode_sum` needs for count modes, terms and
+    runs of height modes."""
+    return (1 + terms) * height + _pairwise_levels(count) * terms
+
+
+def _pairwise_mode_sum(count, height, evaluate, work, dest):
+    """Sum each term over count modes into dest (terms, F), one column per
+    field, adding in the order of numpy's float add.reduce along a row, so
+    each column has the bits of x.sum(axis=1) over that field's terms.
+
+    evaluate(lo, hi, outs) yields the terms of modes lo..hi-1, one
+    (hi - lo, F) array per term written into outs; it is asked for runs of
+    at most height modes (a multiple of PAIRWISE_UNROLL), and no run
+    crosses a leaf of numpy's pairwise_sum.  A leaf of n >= 8 modes adds
+    its runs, 8 modes at a time, into 8 accumulators, folds them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest one
+    mode at a time; fewer than 8 modes are added one at a time.  The sum
+    starts from +0.0, as numpy's does, so -0.0 terms sum to +0.0.  work
+    holds `_sum_rows` rows of F columns.
+    """
+    terms, cols = dest.shape
+    unroll = PAIRWISE_UNROLL
+    scratch = work[:height]
+    runs = [work[i : i + height] for i in range(height, (1 + terms) * height, height)]
+    acc = [run[:unroll] for run in runs]  # the first 8 modes of each leaf
+    partial = work[(1 + terms) * height : _sum_rows(count, terms, height)]
+    partial = partial.reshape(-1, terms, cols)
+
+    def leaf(into, lo, n):
+        full, rest = n - n % unroll, n % unroll
+        for start in range(lo, lo + full, height):
+            stop = min(start + height, lo + full)
+            first = start == lo
+            outs = runs if first else [scratch] * terms
+            outs = [out[: stop - start] for out in outs]
+            for total, term in zip(acc, evaluate(start, stop, outs)):
+                for row in range(unroll if first else 0, stop - start, unroll):
+                    total += term[row : row + unroll]
+        if full:
+            for total, out in zip(acc, into):
+                pairs = np.add(total[0::2], total[1::2], out=scratch[:4])
+                quads = np.add(pairs[0::2], pairs[1::2], out=scratch[4:6])
+                np.add(quads[0], quads[1], out=out)
+        if rest:
+            for term, out in zip(evaluate(lo + full, lo + n, [a[:rest] for a in acc]), into):
+                if not full:
+                    np.copyto(out, term[0])
+                for row in term[0 if full else 1 :]:
+                    out += row
+
+    _pairwise_tree(leaf, partial, dest, 0, count)
+    dest += 0.0
+
+
+def _pairwise_tree(leaf, partial, into, lo, n, level=0):
+    """numpy's pairwise_sum recursion over elements lo..lo+n-1 into `into`:
+    leaf(into, lo, n) sums a leaf of at most PAIRWISE_LEAF; a second half
+    is summed into partial[level] and then added.  (A module function: a
+    nested recursive one would be a reference cycle, which kept each call's
+    arrays alive until the garbage collector ran.)"""
+    if n <= PAIRWISE_LEAF:
+        leaf(into, lo, n)
+        return
+    half = _pairwise_split(n)
+    _pairwise_tree(leaf, partial, into, lo, half, level)
+    _pairwise_tree(leaf, partial, partial[level], lo + half, n - half, level + 1)
+    into += partial[level]
 
 
 def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
@@ -179,38 +280,83 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     None).  The means are stacked on a leading axis: shape (terms,) +
     lams.shape.
 
-    At finite N the mode constants are computed once per call and the lams
-    are summed in chunks of about CHUNK_ELEMENTS terms, each row on its own,
-    through work arrays allocated once per call, so a chunk stays in cache
-    and no value depends on the chunk size.  At N = inf one quadrature call
-    integrates every lam of a one-term mean at once: each lam is a row of
-    the batched adaptive Simpson rule, and the modes are its nodes.
+    At finite N the mode constants are computed once per call, with the
+    modes on the leading axis, and the lams are split into equal chunks of
+    at most CHUNK_COLUMNS: each chunk is evaluated as (modes, lams) runs of
+    about RUN_ELEMENTS terms in work arrays allocated once per call, and
+    `_pairwise_mode_sum` adds the runs up in numpy's pairwise order, so
+    every mean has the bits of a row sum over its own modes and none
+    depends on the chunk.  At N = inf each term is one quadrature call that
+    integrates every lam at once: each lam is a row of the batched adaptive
+    Simpson rule, and the modes are its nodes; the terms are integrated
+    separately because their adaptive trees differ.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
     if size is None:
 
-        def at_nodes(pair):
-            row, phi = pair
-            (term,) = _terms(_Modes.at(phi, gamma, offsets), flat[row], beta_tilde, with_mz)
-            return term
+        def mean(mz, rs):
+            def at_nodes(pair):
+                row, phi = pair
+                (term,) = _terms(_Modes.at(phi, gamma, rs), flat[row], beta_tilde, mz)
+                return term
 
-        out = integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size)[None] / math.pi
+            return integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size) / math.pi
+
+        means = [mean(True, ())] if with_mz else []
+        out = np.array(means + [mean(False, (r,)) for r in offsets])
     else:
-        modes = _Modes.at(_momenta(size)[None, :], gamma, offsets)
-        rows = max(1, CHUNK_ELEMENTS // (size // 2))
-        # one block for the three work arrays: with three separate ones,
-        # glibc's heap trimming made some processes refault them every window
-        work = np.empty((3, min(rows, flat.size), size // 2))
+        count = size // 2
+        modes = _Modes.at(_momenta(size)[:, None], gamma, offsets)
+        chunks = max(1, -(-flat.size // CHUNK_COLUMNS))
+        cols = max(1, -(-flat.size // chunks))
+        unroll = PAIRWISE_UNROLL
+        height = max(unroll, min(PAIRWISE_LEAF, RUN_ELEMENTS // cols) // unroll * unroll)
         out = np.empty((with_mz + len(offsets), flat.size))
-        for start in range(0, flat.size, rows):
-            stop = min(start + rows, flat.size)
-            chunk = work[:, : stop - start]
-            terms = _terms(modes, flat[start:stop, None], beta_tilde, with_mz, chunk)
-            for dest, term in zip(out, terms):
-                term.sum(axis=1, out=dest[start:stop])
+        rows = 2 * height + _sum_rows(count, out.shape[0], height)
+        block = np.empty((rows, cols))  # the work arrays of every chunk
+        for start in range(0, flat.size, cols):
+            stop = min(start + cols, flat.size)
+            lam = flat[None, start:stop]
+            w = block[:, : stop - start]
+            d, energy = w[:height], w[height : 2 * height]
+
+            def evaluate(lo, hi, outs):
+                n = hi - lo
+                return _terms(modes.rows(lo, hi), lam, beta_tilde, with_mz, d[:n], energy[:n],
+                              outs)
+
+            _pairwise_mode_sum(count, height, evaluate, w[2 * height :], out[:, start:stop])
         out *= 2.0 / size
     return out.reshape(out.shape[:1] + lams.shape)
+
+
+#: (M_z term needed, G offsets needed) per observable; g:r needs (False, (r,))
+_NEEDS = {"mz": (True, ()), "txx": (False, (-1,)), "tyy": (False, (1,)),
+          "tzz": (True, (-1, 1))}
+
+
+def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
+    """Each observable of kinds at the fields lams, one row per kind: shape
+    (len(kinds),) + lams.shape.  Every term they need is one mean of
+    `_momentum_mean`, so at finite N all kinds share one Lambda per
+    (lam, mode): M_z is minus the M_z mean, G(r) the mean of the r term,
+    T_xx = G(-1), T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1)."""
+    needs = [_NEEDS.get(kind.name, (False, (kind.r,))) for kind in kinds]
+    with_mz = any(mz for mz, _ in needs)
+    offsets = tuple(dict.fromkeys(r for _, rs in needs for r in rs))
+    means = _momentum_mean(lams, size, gamma, beta_tilde, with_mz, offsets)
+    if with_mz:
+        np.negative(means[:1], out=means[:1])
+    mz = means[0]
+    g = dict(zip(offsets, means[with_mz:]))
+
+    def row(kind, rs):
+        if kind.name == "tzz":
+            return mz * mz - g[-1] * g[1]
+        return mz if kind.name == "mz" else g[rs[0]]
+
+    return np.stack([row(kind, rs) for kind, (_, rs) in zip(kinds, needs)])
 
 
 def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
@@ -219,7 +365,7 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     Finite size: -(2/N) sum_p tanh(bt*L_p/2)(cos phi_p - lam)/L_p.
     Infinite size: the same integrand averaged over [0, pi] by quadrature.
     """
-    return -_momentum_mean(lams, size, gamma, beta_tilde, with_mz=True)[0]
+    return _curves((ObservableKind("mz"),), lams, gamma, beta_tilde, size)[0]
 
 
 def magnetization(params: ModelParams) -> float:
@@ -238,7 +384,7 @@ def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
     """
     if size is not None and abs(r) > size // 2:
         raise ValueError(f"offset |r|={abs(r)} exceeds N/2={size // 2}")
-    return _momentum_mean(lams, size, gamma, offsets=(r,))[0]
+    return _curves((ObservableKind("g", r),), lams, gamma, size=size)[0]
 
 
 def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:
@@ -253,14 +399,7 @@ def tzz_curve(lams, gamma, size=None) -> np.ndarray:
     G(-1) and G(+1) terms from it; at N = inf each factor is its own
     quadrature, since their adaptive trees differ.
     """
-    if size is None:
-        mz = mz_curve(lams, gamma)
-        gm = correlator_curve(-1, lams, gamma)
-        gp = correlator_curve(1, lams, gamma)
-    else:
-        neg_mz, gm, gp = _momentum_mean(lams, size, gamma, with_mz=True, offsets=(-1, 1))
-        mz = -neg_mz
-    return mz * mz - gm * gp
+    return _curves((ObservableKind("tzz"),), lams, gamma, size=size)[0]
 
 
 def correlators_nn(lam: float, gamma: float, size: int | None = None):
@@ -281,38 +420,49 @@ class ObservableCurve:
     Carries everything but the field, so profiling code can sweep lam.
     Correlator-based observables require beta_tilde = inf (the closed
     forms used here are zero-temperature only).
+
+    kind may also be a tuple of kinds, a joint curve: a call then returns
+    one row per kind, shape (len(kind),) + lams.shape, every row from one
+    momentum pass, and `parts` holds the single-kind curve of each row.
     """
 
-    kind: ObservableKind
+    kind: ObservableKind | tuple[ObservableKind, ...]
     gamma: float
     beta_tilde: float = math.inf
     size: int | None = None
 
     def __post_init__(self):
         ModelParams(0.0, self.gamma, self.beta_tilde, self.size)
-        if self.kind.name != "mz" and not math.isinf(self.beta_tilde):
-            raise ValueError(
-                "finite-temperature correlators are not supported; "
-                "only mz accepts finite beta_tilde"
-            )
-        if self.size is not None and abs(self.kind.r) > self.size // 2:
-            raise ValueError("correlator offset exceeds N/2")
+        if not self.kinds:
+            raise ValueError("a joint curve needs at least one observable")
+        for kind in self.kinds:
+            if kind.name != "mz" and not math.isinf(self.beta_tilde):
+                raise ValueError(
+                    "finite-temperature correlators are not supported; "
+                    "only mz accepts finite beta_tilde"
+                )
+            if self.size is not None and abs(kind.r) > self.size // 2:
+                raise ValueError("correlator offset exceeds N/2")
+
+    @property
+    def kinds(self) -> tuple[ObservableKind, ...]:
+        return self.kind if isinstance(self.kind, tuple) else (self.kind,)
+
+    @property
+    def parts(self) -> tuple[ObservableCurve, ...] | None:
+        """One single-kind curve per row of a joint curve; None for one kind."""
+        if not isinstance(self.kind, tuple):
+            return None
+        return tuple(ObservableCurve(kind, self.gamma, self.beta_tilde, self.size)
+                     for kind in self.kind)
 
     @property
     def label(self) -> str:
-        return self.kind.label()
+        return "+".join(kind.label() for kind in self.kinds)
 
     def __call__(self, lams) -> np.ndarray:
-        name = self.kind.name
-        if name == "mz":
-            return mz_curve(lams, self.gamma, self.beta_tilde, self.size)
-        if name == "txx":
-            return correlator_curve(-1, lams, self.gamma, self.size)
-        if name == "tyy":
-            return correlator_curve(1, lams, self.gamma, self.size)
-        if name == "g":
-            return correlator_curve(self.kind.r, lams, self.gamma, self.size)
-        return tzz_curve(lams, self.gamma, self.size)
+        rows = _curves(self.kinds, lams, self.gamma, self.beta_tilde, self.size)
+        return rows if isinstance(self.kind, tuple) else rows[0]
 
 
 def observable_curve(

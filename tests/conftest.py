@@ -26,6 +26,15 @@ def xy_curve(obs: str, size: int) -> ObservableCurve:
     return ObservableCurve(ObservableKind.parse(obs), gamma=0.5, size=size)
 
 
+def table_profiles(size: int, spec: WindowSpec, ks, jobs: int) -> dict:
+    """{obs: {(k, dist): ViolationProfile}} for every exponent-table
+    observable at one size, from one joint sampling pass (as `table1`)."""
+    kinds = tuple(ObservableKind.parse(obs) for obs in TABLE_DISTANCES)
+    curve = ObservableCurve(kinds, gamma=0.5, size=size)
+    parts = profile_set(curve, spec, ks, list(TABLE_DISTANCES.values()), jobs=jobs)
+    return dict(zip(TABLE_DISTANCES, parts))
+
+
 def cell_points(tables, obs: str, k: int, dist: str):
     """(N, lambda_c^N) points for one exponent-table cell.
 
@@ -49,11 +58,9 @@ def coarse_tables():
     jobs = default_jobs()
     start = time.monotonic()
     tables = {}
-    for obs, dists in TABLE_DISTANCES.items():
-        for size in SIZES:
-            tables[(obs, size)] = profile_set(
-                xy_curve(obs, size), COARSE_SPEC, (1, 2, 3, 4), dists, jobs=jobs
-            )
+    for size in SIZES:
+        for obs, profs in table_profiles(size, COARSE_SPEC, (1, 2, 3, 4), jobs).items():
+            tables[(obs, size)] = profs
     return {"tables": tables, "elapsed": time.monotonic() - start}
 
 
@@ -68,21 +75,18 @@ def converged_tables(coarse_tables):
     """
     jobs = default_jobs()
     start = time.monotonic()
-    tables = {}
-    for obs, dists in TABLE_DISTANCES.items():
-        for size in SIZES:
-            merged = {}
-            for k in (1, 2, 3, 4):
-                n = CONVERGED_N[k]
-                if n == COARSE_SPEC.n:
+    tables = {(obs, size): {} for obs in TABLE_DISTANCES for size in SIZES}
+    for size in SIZES:
+        for k in (1, 2, 3, 4):
+            n = CONVERGED_N[k]
+            if n == COARSE_SPEC.n:
+                for obs, dists in TABLE_DISTANCES.items():
                     for d in dists:
-                        merged[(k, d)] = coarse_tables["tables"][(obs, size)][(k, d)]
-                    continue
-                spec = WindowSpec(
-                    COARSE_SPEC.a, COARSE_SPEC.b, COARSE_SPEC.w, COARSE_SPEC.epsilon, n
-                )
-                merged.update(
-                    profile_set(xy_curve(obs, size), spec, (k,), dists, jobs=jobs)
-                )
-            tables[(obs, size)] = merged
+                        tables[(obs, size)][(k, d)] = coarse_tables["tables"][(obs, size)][(k, d)]
+                continue
+            spec = WindowSpec(
+                COARSE_SPEC.a, COARSE_SPEC.b, COARSE_SPEC.w, COARSE_SPEC.epsilon, n
+            )
+            for obs, profs in table_profiles(size, spec, (k,), jobs).items():
+                tables[(obs, size)].update(profs)
     return {"tables": tables, "elapsed": time.monotonic() - start}

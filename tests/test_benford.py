@@ -67,6 +67,17 @@ def test_digit_keys_denormal_range():
     assert list(benford.digit_keys(vals, 2)) == [37, 99, 11]
 
 
+@pytest.mark.filterwarnings("error")
+def test_digit_keys_tiny_beside_huge_values_warn_nothing():
+    # only the tiny entries are lifted: lifting 5e10 as well overflowed to
+    # inf with a RuntimeWarning (the keys stayed right, since that value
+    # was then not used); the input array is left as it was
+    vals = np.array([1e-300, 5e10, 3.7e-300, 1.7e308])
+    keys = benford.digit_keys(vals, 2)
+    assert list(keys) == [10, 50, 37, 17]
+    assert vals[0] == 1e-300
+
+
 def test_boundary_roundup_keeps_nines():
     # scaling 999.9999999999999 by 1e-1 rounds onto 100.0 exactly; the
     # key must stay 99 (the true digits), not collapse to 10

@@ -197,6 +197,16 @@ def test_benford_tolerates_trailing_commas_and_blanks(tmp_path, capsys):
     assert "values: 3" in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_benford_tiny_and_huge_values_warn_nothing(tmp_path, capsys):
+    data = tmp_path / "vals.txt"
+    data.write_text("1e-300\n5e10\n")
+    code, out, err = run(["benford", str(data)], capsys)
+    assert code == 0
+    assert err == ""
+    assert "values: 2" in out
+
+
 @pytest.mark.parametrize(
     "content,needle",
     [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from benfordxy import benford
 from benfordxy import windows as W
+from benfordxy.xy_model import ObservableCurve, ObservableKind
 
 from conftest import COARSE_SPEC, xy_curve
 
@@ -223,6 +224,47 @@ def test_parallel_profiles_bit_identical():
     parallel = W.profile_set(xy_curve("mz", 14), spec, (1, 2), ("md",), jobs=4)
     for key in serial:
         assert _same_bits(serial[key], parallel[key])
+
+
+def _mz_txx(size):
+    return ObservableCurve((ObservableKind("mz"), ObservableKind("txx")), 0.5, size=size)
+
+
+def test_joint_pass_matches_single_observable_profiles():
+    """One sampling and one Lambda per window for M_z and T_xx gives each
+    the bits and provenance of its own profile_set pass."""
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 1000)
+    ks = (1, 2, 3, 4)
+    dists = ("md", "sd", "bd")
+    parts = W.profile_set(_mz_txx(14), spec, ks, [dists, dists], jobs=1)
+    assert len(parts) == 2
+    for name, got in zip(("mz", "txx"), parts):
+        want = W.profile_set(xy_curve(name, 14), spec, ks, dists, jobs=1)
+        assert list(got) == list(want)
+        for key in want:
+            assert _same_bits(got[key], want[key])
+            assert got[key].meta == want[key].meta
+    mz, txx = W.profile_set(_mz_txx(14), spec, (2,), [("md", "sd"), ("bd",)], jobs=1)
+    assert list(mz) == [(2, "md"), (2, "sd")] and list(txx) == [(2, "bd")]
+
+
+def test_joint_pass_bit_identical_across_jobs():
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 5e-3, 1000)
+    dists = [("md",), ("md", "bd")]
+    serial = W.profile_set(_mz_txx(14), spec, (1, 2), dists, jobs=1)
+    parallel = W.profile_set(_mz_txx(14), spec, (1, 2), dists, jobs=2)
+    for one, two in zip(serial, parallel):
+        assert list(one) == list(two)
+        for key in one:
+            assert _same_bits(one[key], two[key])
+
+
+def test_joint_pass_needs_distances_per_part():
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
+    with pytest.raises(ValueError):
+        W.profile_set(_mz_txx(14), spec, (1,), [("md",)], jobs=1)
+    with pytest.raises(ValueError):
+        W.profile_set(_mz_txx(14), spec, (1,), [("md",), ()], jobs=1)
 
 
 class _InlinePool:

@@ -1,5 +1,6 @@
 """Unit tests for the XY-chain observables."""
 
+import gc
 import math
 import pickle
 
@@ -131,23 +132,25 @@ def _pointwise(name, beta_tilde, lams, size):
     return np.array([scalar(lam) for lam in lams.tolist()])
 
 
-def test_curve_matches_pointwise_calls():
+def test_curve_matches_pointwise_calls(monkeypatch):
     # Field arrays of every length around a chunk boundary, and a 2-D one,
-    # give each element the exact bits of its own scalar call.  N = 14 and
-    # 1000 differ in rows per chunk; lam = -1 puts the smallest
-    # quasiparticle energy (phi = pi) into the first row.  It is not zero:
-    # sin(pi) is 1.2e-16 in doubles, so Lambda there is 6e-17.
-    pool = np.linspace(-1.0, 2.0, 2500)
+    # give each element the exact bits of its own scalar call.  A narrow
+    # chunk keeps the scalar calls few; N = 14 and 1000 differ in mode
+    # blocks and pairwise splits.  lam = -1 puts the smallest quasiparticle
+    # energy (phi = pi) into the first column.  It is not zero: sin(pi) is
+    # 1.2e-16 in doubles, so Lambda there is 6e-17.
+    cols = 256
+    monkeypatch.setattr(xy_model, "CHUNK_COLUMNS", cols)
+    pool = np.linspace(-1.0, 2.0, 600)
     for size in (14, 1000):
-        rows = xy_model.CHUNK_ELEMENTS // (size // 2)
         for name, beta_tilde in (("mz", math.inf), ("mz", 5.0), ("txx", math.inf),
                                  ("g:3", math.inf), ("tzz", math.inf)):
             want = _pointwise(name, beta_tilde, pool, size)
             curve = ObservableCurve(ObservableKind.parse(name), 0.5, beta_tilde, size)
-            for length in (1, rows - 1, rows, rows + 1, pool.size):
+            for length in (1, cols - 1, cols, cols + 1, pool.size):
                 assert np.array_equal(curve(pool[:length]), want[:length]), (name, length)
-            got = curve(pool.reshape(50, 50))
-            assert got.shape == (50, 50)
+            got = curve(pool.reshape(20, 30))
+            assert got.shape == (20, 30)
             assert np.array_equal(got.reshape(-1), want), name
 
 
@@ -176,7 +179,10 @@ def _reference(name, beta_tilde, lams, gamma, size):
             "g:3": lambda: g(3), "tzz": lambda: mz * mz - g(-1) * g(1)}[name]()
 
 
-@pytest.mark.parametrize("size", (4, 14, 40, 1000))
+# N/2 modes: 2 and 7 (one run of fewer than 8), 8 (exactly one 8-block), 9
+# (one leftover mode), 20, 129 (the first split), 256 (two 128-mode leaves)
+# and 500 (two levels of splits)
+@pytest.mark.parametrize("size", (4, 14, 16, 18, 40, 258, 512, 1000))
 @pytest.mark.parametrize("gamma", (0.5, 1.0, -0.3, 1e-200))
 def test_kernel_keeps_reference_bits(size, gamma):
     # Every cos(phi_p) and lam = +-1 are fields.  At gamma = 1e-200,
@@ -192,6 +198,72 @@ def test_kernel_keeps_reference_bits(size, gamma):
         curve = ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde, size)
         want = _reference(name, beta_tilde, lams, gamma, size)
         assert curve(lams).tobytes() == want.tobytes(), (name, beta_tilde)
+
+
+def test_mode_sum_is_numpy_row_sum():
+    # The finite-N kernel adds (modes, fields) runs in the order numpy's
+    # x.sum(axis=1) adds a row, whatever the height of the runs.  Should a
+    # numpy release change that order, this fails here instead of output
+    # bits moving silently.  Mixed magnitudes make every change of order
+    # visible; row 0 is all -0.0 (numpy's sum is +0.0) and row 1 cancels
+    # exactly.
+    rng = np.random.default_rng(7)
+    fields = 6
+    for count in range(1, 601):
+        x = rng.standard_normal((fields, count)) * 10.0 ** rng.integers(-12, 13, (fields, count))
+        x[0] = -0.0
+        x[1] = 1.0
+        x[1, 1::2] = -1.0
+        if count % 2:
+            x[1, -1] = 0.0
+        modes_first = np.ascontiguousarray(x.T)
+
+        def evaluate(lo, hi, outs):
+            np.copyto(outs[0][: hi - lo], modes_first[lo:hi])
+            yield outs[0][: hi - lo]
+
+        for height in (8, 24, 128):
+            work = np.empty((xy_model._sum_rows(count, 1, height), fields))
+            got = np.empty((1, fields))
+            xy_model._pairwise_mode_sum(count, height, evaluate, work, got)
+            assert got[0].tobytes() == x.sum(axis=1).tobytes(), (count, height)
+            assert math.copysign(1.0, got[0, 0]) == 1.0
+
+
+def test_joint_curve_rows_match_single_curves():
+    # One pass for several kinds gives each row the bits of its own curve,
+    # at finite N (one Lambda per mode) and at N = inf (one quadrature per
+    # term), for a field array of any shape.
+    lams = np.linspace(0.3, 1.7, 24).reshape(4, 6)
+    kinds = tuple(ObservableKind.parse(name) for name in ("mz", "txx", "tzz", "g:2", "tyy"))
+    for size in (14, 40, None):
+        joint = ObservableCurve(kinds, 0.5, size=size)
+        rows = joint(lams)
+        assert rows.shape == (len(kinds), 4, 6)
+        assert [part.label for part in joint.parts] == ["mz", "txx", "tzz", "g:2", "tyy"]
+        for part, row in zip(joint.parts, rows):
+            assert part.parts is None
+            assert row.tobytes() == part(lams).tobytes(), (size, part.label)
+    with pytest.raises(ValueError):
+        ObservableCurve((ObservableKind("mz"), ObservableKind("txx")), 0.5, beta_tilde=3.0)
+    with pytest.raises(ValueError):
+        ObservableCurve((), 0.5, size=14)
+
+
+def test_finite_sum_leaves_no_reference_cycle():
+    # A call's arrays must be freed when it returns: left in a reference
+    # cycle, they wait for the garbage collector, and the memory churn cost
+    # a serial N = 40 profile 24 000 page faults.
+    kinds = (ObservableKind("mz"), ObservableKind("txx"))
+    lams = np.linspace(0.5, 1.5, 3000)
+    gc.collect()
+    gc.disable()
+    try:
+        for size in (14, 1000):
+            ObservableCurve(kinds, 0.5, size=size)(lams)
+            assert gc.collect() == 0, size
+    finally:
+        gc.enable()
 
 
 def test_thermodynamic_limit_keeps_reference_bits():
