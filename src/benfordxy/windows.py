@@ -187,24 +187,26 @@ def _meta_for(observable, spec: WindowSpec, k: int, distance: str) -> ProfileMet
 
 
 def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
-    """Profiles for every (k, distance) pair from one shared sampling pass.
+    """Profiles for every (k, distance) pair of each part of observable,
+    from one shared sampling pass.
 
-    Returns a dict {(k, distance): ViolationProfile}.  Each window is
-    sampled, normalized and digit-keyed once, at the deepest k; shallower
-    depths are folded from that histogram (`benford.key_histograms`).
-
-    A joint observable, one with a `parts` tuple whose call returns one row
-    per part (an `ObservableCurve` of several kinds), is sampled and
-    evaluated once per window for all its parts.  distances then holds one
-    sequence of distances per part, and one dict per part is returned.
+    The parts are `observable.parts` (an `ObservableCurve` of several kinds
+    is evaluated once per window and returns one row per part), or the
+    observable itself.  distances holds one sequence of distances per part,
+    and one dict {(k, distance): ViolationProfile} per part is returned.
+    Each window is sampled once, and each part's row normalized and
+    digit-keyed once, at the deepest k; shallower depths are folded from
+    that histogram (`benford.key_histograms`).
     """
-    parts = getattr(observable, "parts", None)
-    per_part = [distances] if parts is None else list(distances)
-    if parts is not None and len(per_part) != len(parts):
-        raise ValueError(f"need one distance list per part, got {len(per_part)}")
+    parts = getattr(observable, "parts", (observable,))
+    distances = list(distances)
+    if len(distances) != len(parts):
+        raise ValueError(f"need one distance list per part, got {len(distances)}")
     ks = list(dict.fromkeys(ks))
     part_combos = []
-    for dists in per_part:
+    for dists in distances:
+        if isinstance(dists, str):
+            raise ValueError(f"need a sequence of distances per part, got {dists!r}")
         dists = list(dict.fromkeys(dists))
         for d in dists:
             _check_distance(d)
@@ -227,17 +229,17 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     mids = midpoints(spec)
     mids.flags.writeable = table.flags.writeable = False
     columns = iter(table)
-    profiles = [
+    return [
         {(k, d): ViolationProfile(mids, next(columns), _meta_for(part, spec, k, d))
          for k, d in combos}
-        for part, combos in zip(parts or [observable], part_combos)
+        for part, combos in zip(parts, part_combos)
     ]
-    return profiles[0] if parts is None else profiles
 
 
 def profile(observable, spec: WindowSpec, k: int, distance: str, jobs: int = 1):
     """Violation profile over all windows for a single (k, distance)."""
-    return profile_set(observable, spec, [k], [distance], jobs=jobs)[(k, distance)]
+    (profiles,) = profile_set(observable, spec, [k], [[distance]], jobs=jobs)
+    return profiles[(k, distance)]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ i.e. |gamma| below about 1e-146.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,18 +37,19 @@ from .quadrature import integrate
 
 #: tolerance for thermodynamic-limit momentum integrals
 QUAD_TOL = 1e-10
-#: most field columns per chunk of a finite-N momentum sum (the fields are
-#: split into equal chunks); no value depends on it, since each field's
-#: column is summed on its own
-CHUNK_COLUMNS = 8192
 #: numpy's float add.reduce (its pairwise_sum): 8 accumulators over leaves
 #: of at most 128 elements, split in halves rounded down to a multiple of 8
 PAIRWISE_UNROLL = 8
 PAIRWISE_LEAF = 128
-#: most terms (modes x fields) one array operation of a finite-N sum
-#: evaluates: runs of modes are a multiple of PAIRWISE_UNROLL high, up to
-#: PAIRWISE_LEAF, so a call with few fields makes few operations
-RUN_ELEMENTS = 65536
+#: most float64 work elements of one finite-N call (384 KiB): the fields
+#: are split into equal chunks as wide as this allows; no value depends on
+#: it, since each field's column is summed on its own
+WORK_ELEMENTS = 49152
+#: numpy's ufunc buffer, in elements, during a finite-N sum: below a
+#: chunk's width, so a ufunc over a (modes, fields) block with a per-mode
+#: (modes, 1) operand loops over the rows in place; with the default 8192
+#: it copies rows narrower than that through its buffer, 3 times slower
+UFUNC_BUFFER = 16
 
 _OBSERVABLE_NAMES = ("mz", "txx", "tyy", "tzz", "g")
 
@@ -118,8 +119,12 @@ def dispersion(phi, lam, gamma):
     return _energy(np.cos(phi) - lam, s * s)
 
 
+@functools.cache
 def _momenta(size: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+    """The momenta phi_p = 2 pi p/N, p = 1..N/2, as a read-only column."""
+    phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+    phi.flags.writeable = False
+    return phi[:, None]
 
 
 @dataclass(frozen=True)
@@ -140,39 +145,34 @@ class _Modes:
         s = gamma * np.sin(phi)
         s2 = s * s
         g = tuple((gamma * np.sin(r * phi) * np.sin(phi), np.cos(r * phi)) for r in offsets)
-        return cls(np.cos(phi), s2, not np.all(s2 > 0.0), g)
-
-    def rows(self, lo, hi) -> "_Modes":
-        """The constants of modes lo..hi-1 (modes on the leading axis)."""
-        g = tuple((a[lo:hi], b[lo:hi]) for a, b in self.g)
-        return _Modes(self.cos[lo:hi], self.s2[lo:hi], self.guard, g)
+        return cls(np.cos(phi), s2, not (s2 > 0.0).all(), g)
 
 
-def _terms(modes: _Modes, lam, beta_tilde, with_mz, d_out=None, energy_out=None,
-           term_outs=None):
-    """Yield the momentum-sum terms at the fields lam, in order: the M_z
-    term [tanh(bt*L/2)] (cos phi - lam)/L if with_mz (without M_z's minus
-    sign; the tanh factor is exactly 1 at bt = inf), then one G(r) term
-    [gamma sin(r phi) sin phi - cos(r phi)(cos phi - lam)]/L per offset.
+def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
+           work=(None, None, None)):
+    """Yield the momentum-sum terms at the fields lam and the modes rows,
+    in order: the M_z term [tanh(bt*L/2)] (cos phi - lam)/L if with_mz
+    (without M_z's minus sign; the tanh factor is exactly 1 at bt = inf),
+    then one G(r) term [gamma sin(r phi) sin phi - cos(r phi)(cos phi -
+    lam)]/L per offset.
 
     Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
-    where L is 0 (only when modes.guard).  d, L and the terms are written
-    into the given arrays, one per term in term_outs, or allocated when
-    None; an array repeated in term_outs is reused, so reduce each term
-    before drawing the next.
+    where L is 0 (only when modes.guard).  work holds the d, L and term
+    arrays, or None to allocate them; the term array is reused, so reduce
+    each term before drawing the next.
     """
-    d = np.subtract(modes.cos, lam, out=d_out)
-    energy = _energy(d, modes.s2, out=energy_out)
-    outs = iter(term_outs) if term_outs is not None else itertools.repeat(None)
+    d_out, energy_out, term_out = work
+    d = np.subtract(modes.cos[rows], lam, out=d_out)
+    energy = _energy(d, modes.s2[rows], out=energy_out)
     zero = None
     if modes.guard:
         zero = energy == 0.0
         np.copyto(energy, 1.0, where=zero)  # the terms there are set to 0 below
     if with_mz:
         if math.isinf(beta_tilde):
-            term = np.divide(d, energy, out=next(outs))
+            term = np.divide(d, energy, out=term_out)
         else:
-            term = np.multiply(energy, 0.5 * beta_tilde, out=next(outs))
+            term = np.multiply(energy, 0.5 * beta_tilde, out=term_out)
             np.tanh(term, out=term)
             term *= d
             term /= energy
@@ -180,97 +180,117 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, d_out=None, energy_out=None,
             np.copyto(term, 0.0, where=zero)
         yield term
     for a, b in modes.g:
-        term = np.multiply(b, d, out=next(outs))
-        np.subtract(a, term, out=term)
+        term = np.multiply(b[rows], d, out=term_out)
+        np.subtract(a[rows], term, out=term)
         term /= energy
         if zero is not None:
             np.copyto(term, 0.0, where=zero)
         yield term
 
 
-def _pairwise_split(n: int) -> int:
-    """Length of the first half when numpy's pairwise_sum splits n elements."""
-    half = n // 2
-    return half - half % PAIRWISE_UNROLL
-
-
-def _pairwise_levels(n: int) -> int:
-    """Partial sums a pairwise sum of n elements holds at once beside its
-    result: one per split on the path to its deepest second half."""
+def _pairwise_steps(lo, n, into, level, steps):
+    """Append numpy's pairwise_sum recursion over elements lo..lo+n-1 to
+    steps: (lo, n, into) sums a leaf of at most PAIRWISE_LEAF into sum
+    `into`; (None, src, into) adds sum src into sum `into`.  Sum 0 is the
+    result, sum 1 + level holds a second half at that depth."""
     if n <= PAIRWISE_LEAF:
-        return 0
-    half = _pairwise_split(n)
-    return max(_pairwise_levels(half), 1 + _pairwise_levels(n - half))
+        steps.append((lo, n, into))
+        return
+    half = n // 2
+    half -= half % PAIRWISE_UNROLL
+    _pairwise_steps(lo, half, into, level, steps)
+    _pairwise_steps(lo + half, n - half, 1 + level, level + 1, steps)
+    steps.append((None, 1 + level, into))
 
 
-def _sum_rows(count: int, terms: int, height: int) -> int:
-    """Rows of work `_pairwise_mode_sum` needs for count modes, terms and
-    runs of height modes."""
-    return (1 + terms) * height + _pairwise_levels(count) * terms
+@functools.cache
+def _pairwise_plan(count: int) -> tuple[tuple, int]:
+    """The steps of a pairwise sum of count elements, and the number of
+    partial sums it holds beside its result."""
+    steps = []
+    _pairwise_steps(0, count, 0, 0, steps)
+    return tuple(steps), max(into for _, _, into in steps)
 
 
-def _pairwise_mode_sum(count, height, evaluate, work, dest):
+def _sum_rows(count: int, terms: int) -> int:
+    """Rows of work `_pairwise_mode_sum` needs for count modes and terms."""
+    return PAIRWISE_UNROLL * (1 + terms) + _pairwise_plan(count)[1] * terms
+
+
+def _pairwise_mode_sum(count, evaluate, work, dest):
     """Sum each term over count modes into dest (terms, F), one column per
     field, adding in the order of numpy's float add.reduce along a row, so
     each column has the bits of x.sum(axis=1) over that field's terms.
 
-    evaluate(lo, hi, outs) yields the terms of modes lo..hi-1, one
-    (hi - lo, F) array per term written into outs; it is asked for runs of
-    at most height modes (a multiple of PAIRWISE_UNROLL), and no run
-    crosses a leaf of numpy's pairwise_sum.  A leaf of n >= 8 modes adds
-    its runs, 8 modes at a time, into 8 accumulators, folds them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest one
-    mode at a time; fewer than 8 modes are added one at a time.  The sum
-    starts from +0.0, as numpy's does, so -0.0 terms sum to +0.0.  work
-    holds `_sum_rows` rows of F columns.
+    evaluate(lo, hi, out) yields the terms of modes lo..hi-1 in turn, each
+    written into out (hi - lo rows of F).  It is asked for groups of 8
+    modes and then for a leaf's leftover modes, leaf by leaf of numpy's
+    pairwise_sum: a leaf of n >= 8 modes adds its groups into 8
+    accumulators, folds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)) and adds the rest one mode at a time; fewer than 8 modes
+    are added one at a time.  The sum starts from +0.0, as numpy's does,
+    so -0.0 terms sum to +0.0.  work holds `_sum_rows` rows of F columns.
     """
     terms, cols = dest.shape
     unroll = PAIRWISE_UNROLL
-    scratch = work[:height]
-    runs = [work[i : i + height] for i in range(height, (1 + terms) * height, height)]
-    acc = [run[:unroll] for run in runs]  # the first 8 modes of each leaf
-    partial = work[(1 + terms) * height : _sum_rows(count, terms, height)]
-    partial = partial.reshape(-1, terms, cols)
-
-    def leaf(into, lo, n):
-        full, rest = n - n % unroll, n % unroll
-        for start in range(lo, lo + full, height):
-            stop = min(start + height, lo + full)
-            first = start == lo
-            outs = runs if first else [scratch] * terms
-            outs = [out[: stop - start] for out in outs]
-            for total, term in zip(acc, evaluate(start, stop, outs)):
-                for row in range(unroll if first else 0, stop - start, unroll):
-                    total += term[row : row + unroll]
-        if full:
-            for total, out in zip(acc, into):
-                pairs = np.add(total[0::2], total[1::2], out=scratch[:4])
-                quads = np.add(pairs[0::2], pairs[1::2], out=scratch[4:6])
-                np.add(quads[0], quads[1], out=out)
-        if rest:
-            for term, out in zip(evaluate(lo + full, lo + n, [a[:rest] for a in acc]), into):
-                if not full:
+    steps, partials = _pairwise_plan(count)
+    scratch = work[:unroll]
+    acc = work[unroll : unroll * (1 + terms)].reshape(terms, unroll, cols)
+    sums = [dest, *work[unroll * (1 + terms) : _sum_rows(count, terms)]
+            .reshape(partials, terms, cols)]
+    for lo, n, into in steps:
+        if lo is None:
+            sums[into] += sums[n]
+            continue
+        full, stop = lo + n - n % unroll, lo + n
+        for start in range(lo, full, unroll):
+            for total, term in zip(acc, evaluate(start, start + unroll, scratch)):
+                if start == lo:
+                    np.copyto(total, term)
+                else:
+                    total += term
+        if full > lo:
+            for total, out in zip(acc, sums[into]):
+                # fold in place: the pairs in rows 0, 2, 4, 6, the quads in 0, 4
+                np.add(total[0::2], total[1::2], out=total[0::2])
+                np.add(total[0::4], total[2::4], out=total[0::4])
+                np.add(total[0], total[4], out=out)
+        if stop > full:
+            for out, term in zip(sums[into], evaluate(full, stop, scratch[: stop - full])):
+                if full == lo:
                     np.copyto(out, term[0])
-                for row in term[0 if full else 1 :]:
+                for row in term[full == lo :]:
                     out += row
-
-    _pairwise_tree(leaf, partial, dest, 0, count)
     dest += 0.0
 
 
-def _pairwise_tree(leaf, partial, into, lo, n, level=0):
-    """numpy's pairwise_sum recursion over elements lo..lo+n-1 into `into`:
-    leaf(into, lo, n) sums a leaf of at most PAIRWISE_LEAF; a second half
-    is summed into partial[level] and then added.  (A module function: a
-    nested recursive one would be a reference cycle, which kept each call's
-    arrays alive until the garbage collector ran.)"""
-    if n <= PAIRWISE_LEAF:
-        leaf(into, lo, n)
-        return
-    half = _pairwise_split(n)
-    _pairwise_tree(leaf, partial, into, lo, half, level)
-    _pairwise_tree(leaf, partial, partial[level], lo + half, n - half, level + 1)
-    into += partial[level]
+def _chunked_mode_sums(modes, count, lams, beta_tilde, with_mz) -> np.ndarray:
+    """Each `_terms` term summed over count modes at the 1-D fields lams,
+    shape (terms, lams.size), by `_pairwise_mode_sum` over equal chunks of
+    lams as wide as WORK_ELEMENTS allows, through work arrays allocated
+    once per call."""
+    out = np.empty((with_mz + len(modes.g), lams.size))
+    unroll = PAIRWISE_UNROLL
+    rows = 2 * unroll + _sum_rows(count, out.shape[0])
+    chunks = max(1, -(-lams.size // (WORK_ELEMENTS // rows)))
+    cols = max(1, -(-lams.size // chunks))
+    block = np.empty((rows, cols))  # the work arrays of every chunk
+    buffer = np.setbufsize(UFUNC_BUFFER)
+    try:
+        for start in range(0, lams.size, cols):
+            stop = min(start + cols, lams.size)
+            lam = lams[None, start:stop]
+            w = block[:, : stop - start]
+            d, energy = w[:unroll], w[unroll : 2 * unroll]
+
+            def evaluate(lo, hi, term):
+                work = d[: hi - lo], energy[: hi - lo], term
+                return _terms(modes, lam, beta_tilde, with_mz, slice(lo, hi), work)
+
+            _pairwise_mode_sum(count, evaluate, w[2 * unroll :], out[:, start:stop])
+    finally:
+        np.setbufsize(buffer)
+    return out
 
 
 def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
@@ -281,15 +301,14 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     lams.shape.
 
     At finite N the mode constants are computed once per call, with the
-    modes on the leading axis, and the lams are split into equal chunks of
-    at most CHUNK_COLUMNS: each chunk is evaluated as (modes, lams) runs of
-    about RUN_ELEMENTS terms in work arrays allocated once per call, and
-    `_pairwise_mode_sum` adds the runs up in numpy's pairwise order, so
-    every mean has the bits of a row sum over its own modes and none
-    depends on the chunk.  At N = inf each term is one quadrature call that
-    integrates every lam at once: each lam is a row of the batched adaptive
-    Simpson rule, and the modes are its nodes; the terms are integrated
-    separately because their adaptive trees differ.
+    modes on the leading axis.  A single lam's terms are one column, which
+    numpy sums itself; more lams are summed by `_chunked_mode_sums`, 8
+    modes at a time in numpy's pairwise order, so every mean has the bits
+    of a row sum over its own modes and none depends on the chunk.  At
+    N = inf each term is one quadrature call that integrates every lam at
+    once: each lam is a row of the batched adaptive Simpson rule, and the
+    modes are its nodes; the terms are integrated separately because their
+    adaptive trees differ.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
@@ -306,27 +325,12 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
         means = [mean(True, ())] if with_mz else []
         out = np.array(means + [mean(False, (r,)) for r in offsets])
     else:
-        count = size // 2
-        modes = _Modes.at(_momenta(size)[:, None], gamma, offsets)
-        chunks = max(1, -(-flat.size // CHUNK_COLUMNS))
-        cols = max(1, -(-flat.size // chunks))
-        unroll = PAIRWISE_UNROLL
-        height = max(unroll, min(PAIRWISE_LEAF, RUN_ELEMENTS // cols) // unroll * unroll)
-        out = np.empty((with_mz + len(offsets), flat.size))
-        rows = 2 * height + _sum_rows(count, out.shape[0], height)
-        block = np.empty((rows, cols))  # the work arrays of every chunk
-        for start in range(0, flat.size, cols):
-            stop = min(start + cols, flat.size)
-            lam = flat[None, start:stop]
-            w = block[:, : stop - start]
-            d, energy = w[:height], w[height : 2 * height]
-
-            def evaluate(lo, hi, outs):
-                n = hi - lo
-                return _terms(modes.rows(lo, hi), lam, beta_tilde, with_mz, d[:n], energy[:n],
-                              outs)
-
-            _pairwise_mode_sum(count, height, evaluate, w[2 * height :], out[:, start:stop])
+        modes = _Modes.at(_momenta(size), gamma, offsets)
+        if flat.size == 1:  # one field: its column over the modes is the row numpy sums
+            out = np.array([np.add.reduce(term[:, 0], keepdims=True)
+                            for term in _terms(modes, flat, beta_tilde, with_mz)])
+        else:
+            out = _chunked_mode_sums(modes, size // 2, flat, beta_tilde, with_mz)
         out *= 2.0 / size
     return out.reshape(out.shape[:1] + lams.shape)
 
@@ -336,27 +340,38 @@ _NEEDS = {"mz": (True, ()), "txx": (False, (-1,)), "tyy": (False, (1,)),
           "tzz": (True, (-1, 1))}
 
 
+@functools.cache
+def _layout(kinds) -> tuple[bool, tuple, tuple | None]:
+    """What `_momentum_mean` computes for kinds: whether the M_z term is
+    needed, the G offsets, and each kind's row of the means (None for
+    T_zz); the rows are None when each kind is the mean of its position."""
+    needs = [_NEEDS.get(kind.name, (False, (kind.r,))) for kind in kinds]
+    with_mz = any(mz for mz, _ in needs)
+    offsets = tuple(dict.fromkeys(r for _, rs in needs for r in rs))
+    at = {r: with_mz + i for i, r in enumerate(offsets)}
+    rows = tuple(None if kind.name == "tzz" else 0 if kind.name == "mz" else at[rs[0]]
+                 for kind, (_, rs) in zip(kinds, needs))
+    return with_mz, offsets, None if rows == tuple(range(with_mz + len(offsets))) else rows
+
+
 def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     """Each observable of kinds at the fields lams, one row per kind: shape
     (len(kinds),) + lams.shape.  Every term they need is one mean of
     `_momentum_mean`, so at finite N all kinds share one Lambda per
     (lam, mode): M_z is minus the M_z mean, G(r) the mean of the r term,
     T_xx = G(-1), T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1)."""
-    needs = [_NEEDS.get(kind.name, (False, (kind.r,))) for kind in kinds]
-    with_mz = any(mz for mz, _ in needs)
-    offsets = tuple(dict.fromkeys(r for _, rs in needs for r in rs))
+    with_mz, offsets, rows = _layout(kinds)
     means = _momentum_mean(lams, size, gamma, beta_tilde, with_mz, offsets)
     if with_mz:
-        np.negative(means[:1], out=means[:1])
-    mz = means[0]
+        means[:1] *= -1.0
+    if rows is None:
+        return means
     g = dict(zip(offsets, means[with_mz:]))
+    tzz = means[0] * means[0] - g[-1] * g[1] if None in rows else None
+    return np.stack([tzz if row is None else means[row] for row in rows])
 
-    def row(kind, rs):
-        if kind.name == "tzz":
-            return mz * mz - g[-1] * g[1]
-        return mz if kind.name == "mz" else g[rs[0]]
 
-    return np.stack([row(kind, rs) for kind, (_, rs) in zip(kinds, needs)])
+_MZ = (ObservableKind("mz"),)
 
 
 def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
@@ -365,7 +380,7 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     Finite size: -(2/N) sum_p tanh(bt*L_p/2)(cos phi_p - lam)/L_p.
     Infinite size: the same integrand averaged over [0, pi] by quadrature.
     """
-    return _curves((ObservableKind("mz"),), lams, gamma, beta_tilde, size)[0]
+    return _curves(_MZ, lams, gamma, beta_tilde, size)[0]
 
 
 def magnetization(params: ModelParams) -> float:
@@ -423,7 +438,9 @@ class ObservableCurve:
 
     kind may also be a tuple of kinds, a joint curve: a call then returns
     one row per kind, shape (len(kind),) + lams.shape, every row from one
-    momentum pass, and `parts` holds the single-kind curve of each row.
+    momentum pass.  `kinds` and `parts` are tuples for every curve: its
+    kinds, and the single-kind curve of each (the curve itself for one
+    kind).
     """
 
     kind: ObservableKind | tuple[ObservableKind, ...]
@@ -449,10 +466,9 @@ class ObservableCurve:
         return self.kind if isinstance(self.kind, tuple) else (self.kind,)
 
     @property
-    def parts(self) -> tuple[ObservableCurve, ...] | None:
-        """One single-kind curve per row of a joint curve; None for one kind."""
+    def parts(self) -> tuple[ObservableCurve, ...]:
         if not isinstance(self.kind, tuple):
-            return None
+            return (self,)
         return tuple(ObservableCurve(kind, self.gamma, self.beta_tilde, self.size)
                      for kind in self.kind)
 

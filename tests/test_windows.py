@@ -203,7 +203,7 @@ def test_profile_set_consistent_with_single_profiles():
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 500)
     ks = (1, 2, 3, 4)
     for curve in (_pow_curve, xy_curve("mz", 14)):
-        combos = W.profile_set(curve, spec, ks, ("md", "bd"), jobs=1)
+        (combos,) = W.profile_set(curve, spec, ks, [("md", "bd")], jobs=1)
         assert set(combos) == {(k, d) for k in ks for d in ("md", "bd")}
         for (k, dist), prof in combos.items():
             single = W.profile(curve, spec, k, dist, jobs=1)
@@ -220,8 +220,8 @@ def test_window_violation_matches_profile_entry():
 def test_parallel_profiles_bit_identical():
     """Worker count must not change a single bit of the output."""
     spec = W.WindowSpec(0.5, 1.5, 0.05, 5e-3, 1000)
-    serial = W.profile_set(xy_curve("mz", 14), spec, (1, 2), ("md",), jobs=1)
-    parallel = W.profile_set(xy_curve("mz", 14), spec, (1, 2), ("md",), jobs=4)
+    (serial,) = W.profile_set(xy_curve("mz", 14), spec, (1, 2), [("md",)], jobs=1)
+    (parallel,) = W.profile_set(xy_curve("mz", 14), spec, (1, 2), [("md",)], jobs=4)
     for key in serial:
         assert _same_bits(serial[key], parallel[key])
 
@@ -239,7 +239,7 @@ def test_joint_pass_matches_single_observable_profiles():
     parts = W.profile_set(_mz_txx(14), spec, ks, [dists, dists], jobs=1)
     assert len(parts) == 2
     for name, got in zip(("mz", "txx"), parts):
-        want = W.profile_set(xy_curve(name, 14), spec, ks, dists, jobs=1)
+        (want,) = W.profile_set(xy_curve(name, 14), spec, ks, [dists], jobs=1)
         assert list(got) == list(want)
         for key in want:
             assert _same_bits(got[key], want[key])
@@ -265,6 +265,8 @@ def test_joint_pass_needs_distances_per_part():
         W.profile_set(_mz_txx(14), spec, (1,), [("md",)], jobs=1)
     with pytest.raises(ValueError):
         W.profile_set(_mz_txx(14), spec, (1,), [("md",), ()], jobs=1)
+    with pytest.raises(ValueError):  # a single observable is one part
+        W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=1)
 
 
 class _InlinePool:
@@ -298,16 +300,16 @@ def test_profile_set_clamps_workers(monkeypatch, jobs, cores, workers):
     monkeypatch.setattr(W, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(W, "default_jobs", lambda: cores)
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)  # 96 windows, 3 blocks
-    got = W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=jobs)
+    (got,) = W.profile_set(_pow_curve, spec, (1,), [("md",)], jobs=jobs)
     assert _InlinePool.started == ([] if workers is None else [workers])
-    serial = W.profile_set(_pow_curve, spec, (1,), ("md",), jobs=1)
+    (serial,) = W.profile_set(_pow_curve, spec, (1,), [("md",)], jobs=1)
     assert _same_bits(got[(1, "md")], serial[(1, "md")])
 
 
 def test_profile_set_requires_a_combo():
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
     with pytest.raises(ValueError):
-        W.profile_set(_pow_curve, spec, (), ("md",), jobs=1)
+        W.profile_set(_pow_curve, spec, (), [("md",)], jobs=1)
 
 
 # -------------------------------------------------------------- convergence
@@ -384,9 +386,10 @@ def mz40_profiles():
     """Coarse-geometry magnetization profiles of the N = 40 chain for the
     depths whose structure the module asserts on (k = 4 needs a larger n
     than this geometry carries; the acceptance suite covers it)."""
-    return W.profile_set(
-        xy_curve("mz", 40), COARSE_SPEC, (1, 2, 3), ("md",), jobs=W.default_jobs()
+    (profiles,) = W.profile_set(
+        xy_curve("mz", 40), COARSE_SPEC, (1, 2, 3), [("md",)], jobs=W.default_jobs()
     )
+    return profiles
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))

@@ -134,23 +134,26 @@ def _pointwise(name, beta_tilde, lams, size):
 
 def test_curve_matches_pointwise_calls(monkeypatch):
     # Field arrays of every length around a chunk boundary, and a 2-D one,
-    # give each element the exact bits of its own scalar call.  A narrow
-    # chunk keeps the scalar calls few; N = 14 and 1000 differ in mode
-    # blocks and pairwise splits.  lam = -1 puts the smallest quasiparticle
-    # energy (phi = pi) into the first column.  It is not zero: sin(pi) is
-    # 1.2e-16 in doubles, so Lambda there is 6e-17.
-    cols = 256
-    monkeypatch.setattr(xy_model, "CHUNK_COLUMNS", cols)
-    pool = np.linspace(-1.0, 2.0, 600)
+    # give each element the exact bits of its own scalar call (one field,
+    # summed by numpy itself).  A small work budget puts chunk boundaries
+    # inside the pool; N = 14 and 1000 differ in pairwise leaves and splits.
+    # lam = -1 puts the smallest quasiparticle energy (phi = pi) into the
+    # first column.  It is not zero: sin(pi) is 1.2e-16 in doubles, so
+    # Lambda there is 6e-17.
+    monkeypatch.setattr(xy_model, "WORK_ELEMENTS", 8192)
+    pool = np.linspace(-1.0, 2.0, 2500)
     for size in (14, 1000):
-        for name, beta_tilde in (("mz", math.inf), ("mz", 5.0), ("txx", math.inf),
-                                 ("g:3", math.inf), ("tzz", math.inf)):
+        for name, beta_tilde, terms in (("mz", math.inf, 1), ("mz", 5.0, 1),
+                                        ("txx", math.inf, 1), ("g:3", math.inf, 1),
+                                        ("tzz", math.inf, 3)):
+            rows = 2 * xy_model.PAIRWISE_UNROLL + xy_model._sum_rows(size // 2, terms)
+            cols = xy_model.WORK_ELEMENTS // rows  # the widest chunk
             want = _pointwise(name, beta_tilde, pool, size)
             curve = ObservableCurve(ObservableKind.parse(name), 0.5, beta_tilde, size)
-            for length in (1, cols - 1, cols, cols + 1, pool.size):
+            for length in (1, 2, 3, cols - 1, cols, cols + 1, 2 * cols + 1, pool.size):
                 assert np.array_equal(curve(pool[:length]), want[:length]), (name, length)
-            got = curve(pool.reshape(20, 30))
-            assert got.shape == (20, 30)
+            got = curve(pool.reshape(50, 50))
+            assert got.shape == (50, 50)
             assert np.array_equal(got.reshape(-1), want), name
 
 
@@ -201,14 +204,15 @@ def test_kernel_keeps_reference_bits(size, gamma):
 
 
 def test_mode_sum_is_numpy_row_sum():
-    # The finite-N kernel adds (modes, fields) runs in the order numpy's
-    # x.sum(axis=1) adds a row, whatever the height of the runs.  Should a
-    # numpy release change that order, this fails here instead of output
-    # bits moving silently.  Mixed magnitudes make every change of order
-    # visible; row 0 is all -0.0 (numpy's sum is +0.0) and row 1 cancels
-    # exactly.
+    # The finite-N kernel adds (modes, fields) blocks, 8 modes at a time, in
+    # the order numpy's x.sum(axis=1) adds a row, and sums a single field
+    # with one 1-D add.reduce of its column.  Should a numpy release change
+    # that order, this fails here instead of output bits moving silently.
+    # Mixed magnitudes make every change of order visible; row 0 is all
+    # -0.0 (numpy's sum is +0.0) and row 1 cancels exactly.  The fields are
+    # columns of a wider block, as in a call's last chunk.
     rng = np.random.default_rng(7)
-    fields = 6
+    fields = 7
     for count in range(1, 601):
         x = rng.standard_normal((fields, count)) * 10.0 ** rng.integers(-12, 13, (fields, count))
         x[0] = -0.0
@@ -216,18 +220,21 @@ def test_mode_sum_is_numpy_row_sum():
         x[1, 1::2] = -1.0
         if count % 2:
             x[1, -1] = 0.0
+        want = x.sum(axis=1)
         modes_first = np.ascontiguousarray(x.T)
 
-        def evaluate(lo, hi, outs):
-            np.copyto(outs[0][: hi - lo], modes_first[lo:hi])
-            yield outs[0][: hi - lo]
+        def evaluate(lo, hi, out):
+            np.copyto(out, modes_first[lo:hi, : out.shape[1]])
+            yield out
 
-        for height in (8, 24, 128):
-            work = np.empty((xy_model._sum_rows(count, 1, height), fields))
-            got = np.empty((1, fields))
-            xy_model._pairwise_mode_sum(count, height, evaluate, work, got)
-            assert got[0].tobytes() == x.sum(axis=1).tobytes(), (count, height)
+        for width in (2, fields):
+            work = np.empty((xy_model._sum_rows(count, 1), fields + 3))[:, :width]
+            got = np.empty((1, width))
+            xy_model._pairwise_mode_sum(count, evaluate, work, got)
+            assert got[0].tobytes() == want[:width].tobytes(), (count, width)
             assert math.copysign(1.0, got[0, 0]) == 1.0
+        columns = [np.add.reduce(modes_first[:, f]) for f in range(fields)]
+        assert np.array(columns).tobytes() == want.tobytes(), count
 
 
 def test_joint_curve_rows_match_single_curves():
@@ -242,7 +249,7 @@ def test_joint_curve_rows_match_single_curves():
         assert rows.shape == (len(kinds), 4, 6)
         assert [part.label for part in joint.parts] == ["mz", "txx", "tzz", "g:2", "tyy"]
         for part, row in zip(joint.parts, rows):
-            assert part.parts is None
+            assert part.parts == (part,) and part.kinds == (part.kind,)
             assert row.tobytes() == part(lams).tobytes(), (size, part.label)
     with pytest.raises(ValueError):
         ObservableCurve((ObservableKind("mz"), ObservableKind("txx")), 0.5, beta_tilde=3.0)
