@@ -273,6 +273,23 @@ def test_finite_sum_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_finite_sum_restores_ufunc_buffer(monkeypatch):
+    # The chunked sum shrinks numpy's ufunc buffer while it runs; the
+    # caller's size comes back after every call, also one that raises.
+    before = np.getbufsize()
+    lams = np.linspace(0.5, 1.5, 3000)
+    ObservableCurve(ObservableKind("tzz"), 0.5, size=40)(lams)
+    assert np.getbufsize() == before
+
+    def fails(*args):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(xy_model, "_pairwise_mode_sum", fails)
+    with pytest.raises(RuntimeError):
+        ObservableCurve(ObservableKind("mz"), 0.5, size=40)(lams)
+    assert np.getbufsize() == before
+
+
 def test_thermodynamic_limit_keeps_reference_bits():
     # At N = inf the quadrature nodes are the modes; the integrand is the
     # reference expression, and one batched integral gives each field's bits.
