@@ -105,12 +105,15 @@ def digit_keys(values, k: int) -> np.ndarray:
     """Vectorized digit extraction: int64 key per nonzero finite value."""
     _check_depth(k)
     ax = np.abs(np.asarray(values, dtype=float))
-    if ax.size and (not np.all(np.isfinite(ax)) or np.any(ax == 0.0)):
-        raise ValueError("digit extraction requires nonzero finite values")
-    # lift near-denormals so the 10**(k-1-e) scale factor stays finite
-    tiny = ax < 1e-290
-    if tiny.any():
-        ax[tiny] *= 1e300
+    if ax.size:
+        # a NaN makes the minimum NaN, which fails the test as 0 does
+        smallest, largest = ax.min(), ax.max()
+        if not (smallest > 0.0 and largest < math.inf):
+            raise ValueError("digit extraction requires nonzero finite values")
+        if smallest < 1e-290:
+            # lift near-denormals so the 10**(k-1-e) scale factor stays finite
+            tiny = ax < 1e-290
+            ax[tiny] *= 1e300
     exp = np.floor(np.log10(ax)).astype(np.int64)
     # floor(log10) lands one decade off when the value sits within an ulp
     # of a decade boundary; verify against the boundary doubles.  low is
@@ -137,7 +140,8 @@ def digit_keys(values, k: int) -> np.ndarray:
     # with the exponent settled, the scaled value can only leave the key
     # range by rounding across it, which pins the digits: all nines above
     # (clamp to hi), a bare 1 followed by zeros below (clamp to lo)
-    return np.clip(m, lo, hi)
+    out = m if m.ndim else None  # in place, but for a scalar value
+    return np.minimum(np.maximum(m, lo, out=out), hi, out=out)
 
 
 def significant_digits(x: float, k: int) -> DigitKey:

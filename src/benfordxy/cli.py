@@ -426,11 +426,14 @@ def _read_numeric_file(path: str) -> np.ndarray:
             if not tok:
                 continue
             try:
-                values.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise InputFormatError(
                     f"{path}:{lineno}: malformed numeric token {tok!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise InputFormatError(f"{path}:{lineno}: non-finite value {tok!r}")
+            values.append(value)
     return np.array(values)
 
 

@@ -29,8 +29,11 @@ class QuadratureError(RuntimeError):
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_INTERVALS = 8192
-#: rows walked together; bounds the frontier arrays (memory), not results
-ROWS_PER_BATCH = 64
+#: rows walked together; bounds the frontier arrays (memory), not results.
+#: A window of 200 field values is one batch; on 2000 values (one core of
+#: a 2-vCPU Xeon VM) 256 rows ran 0.77 of the time of 64, and 1024 rows
+#: no faster with 4x the memory
+ROWS_PER_BATCH = 256
 
 
 def integrate(

@@ -41,10 +41,12 @@ QUAD_TOL = 1e-10
 #: of at most 128 elements, split in halves rounded down to a multiple of 8
 PAIRWISE_UNROLL = 8
 PAIRWISE_LEAF = 128
-#: most float64 work elements of one finite-N call (384 KiB): the fields
+#: most float64 work elements of one finite-N call (1 MiB): the fields
 #: are split into equal chunks as wide as this allows; no value depends on
-#: it, since each field's column is summed on its own
-WORK_ELEMENTS = 49152
+#: it, since each field's column is summed on its own.  Against 384 KiB it
+#: cut a 1e4-field call by 10-25 % at N = 4..1000 (fewer numpy calls per
+#: field); 1.5 MiB was no faster on a core with 2 MiB of L2
+WORK_ELEMENTS = 131072
 #: numpy's ufunc buffer, in elements, during a finite-N sum: below a
 #: chunk's width, so a ufunc over a (modes, fields) block with a per-mode
 #: (modes, 1) operand loops over the rows in place; with the default 8192
@@ -131,61 +133,63 @@ def _momenta(size: int) -> np.ndarray:
 class _Modes:
     """Field-independent constants of one call at its modes phi (the momenta
     at finite N, the quadrature nodes at N = inf): cos phi, s2 =
-    (gamma sin phi)^2 and, per G offset r, a = gamma sin(r phi) sin phi and
-    b = cos(r phi).  guard is False when s2 > 0 at every mode: then
-    Lambda >= sqrt(s2) > 0 for every field, and no zero energy is possible."""
+    (gamma sin phi)^2 and, stacked on a leading axis with one entry per G
+    offset r, a = gamma sin(r phi) sin phi and b = cos(r phi).  guard is
+    False when s2 > 0 at every mode: then Lambda >= sqrt(s2) > 0 for every
+    field, and no zero energy is possible."""
 
     cos: np.ndarray
     s2: np.ndarray
     guard: bool
-    g: tuple
+    a: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def at(cls, phi, gamma, offsets):
         s = gamma * np.sin(phi)
         s2 = s * s
-        g = tuple((gamma * np.sin(r * phi) * np.sin(phi), np.cos(r * phi)) for r in offsets)
-        return cls(np.cos(phi), s2, not (s2 > 0.0).all(), g)
+        r = np.reshape(np.array(offsets, dtype=np.int64), (-1,) + (1,) * np.ndim(phi))
+        a = gamma * np.sin(r * phi) * np.sin(phi)
+        return cls(np.cos(phi), s2, not (s2 > 0.0).all(), a, np.cos(r * phi))
 
 
 def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
            work=(None, None, None)):
-    """Yield the momentum-sum terms at the fields lam and the modes rows,
-    in order: the M_z term [tanh(bt*L/2)] (cos phi - lam)/L if with_mz
-    (without M_z's minus sign; the tanh factor is exactly 1 at bt = inf),
-    then one G(r) term [gamma sin(r phi) sin phi - cos(r phi)(cos phi -
-    lam)]/L per offset.
+    """The momentum-sum terms at the fields lam and the modes rows, stacked
+    on a leading axis: the M_z term [tanh(bt*L/2)] (cos phi - lam)/L if
+    with_mz (without M_z's minus sign; the tanh factor is exactly 1 at
+    bt = inf), then one G(r) term [gamma sin(r phi) sin phi - cos(r phi)
+    (cos phi - lam)]/L per offset.
 
     Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
-    where L is 0 (only when modes.guard).  work holds the d, L and term
-    arrays, or None to allocate them; the term array is reused, so reduce
-    each term before drawing the next.
+    where L is 0 (only when modes.guard).  work holds the d, L and terms
+    arrays, or None to allocate them.
     """
-    d_out, energy_out, term_out = work
+    d_out, energy_out, out = work
     d = np.subtract(modes.cos[rows], lam, out=d_out)
     energy = _energy(d, modes.s2[rows], out=energy_out)
+    if out is None:
+        out = np.empty((with_mz + len(modes.b),) + d.shape)
     zero = None
     if modes.guard:
         zero = energy == 0.0
         np.copyto(energy, 1.0, where=zero)  # the terms there are set to 0 below
     if with_mz:
         if math.isinf(beta_tilde):
-            term = np.divide(d, energy, out=term_out)
+            np.divide(d, energy, out=out[0])
         else:
-            term = np.multiply(energy, 0.5 * beta_tilde, out=term_out)
+            term = np.multiply(energy, 0.5 * beta_tilde, out=out[0])
             np.tanh(term, out=term)
             term *= d
             term /= energy
-        if zero is not None:
-            np.copyto(term, 0.0, where=zero)
-        yield term
-    for a, b in modes.g:
-        term = np.multiply(b[rows], d, out=term_out)
-        np.subtract(a[rows], term, out=term)
-        term /= energy
-        if zero is not None:
-            np.copyto(term, 0.0, where=zero)
-        yield term
+    if len(modes.b):
+        g = out[with_mz:]
+        np.multiply(modes.b[:, rows], d, out=g)
+        np.subtract(modes.a[:, rows], g, out=g)
+        g /= energy
+    if zero is not None:
+        np.copyto(out, 0.0, where=zero)
+    return out
 
 
 def _pairwise_steps(lo, n, into, level, steps):
@@ -212,9 +216,25 @@ def _pairwise_plan(count: int) -> tuple[tuple, int]:
     return tuple(steps), max(into for _, _, into in steps)
 
 
+def _group(count: int) -> int:
+    """Modes evaluated at once in a sum over count modes: one 8-mode group
+    of numpy's pairwise_sum, or every mode when there are fewer."""
+    return min(count, PAIRWISE_UNROLL)
+
+
 def _sum_rows(count: int, terms: int) -> int:
-    """Rows of work `_pairwise_mode_sum` needs for count modes and terms."""
-    return PAIRWISE_UNROLL * (1 + terms) + _pairwise_plan(count)[1] * terms
+    """Rows of work `_pairwise_mode_sum` uses for count modes and terms: per
+    term, the plan's partial sums, one group of accumulators and, once a
+    leaf holds two 8-mode groups (16 modes or more), a group for the later
+    ones."""
+    blocks = 1 + (count >= 2 * PAIRWISE_UNROLL)
+    return terms * (blocks * _group(count) + _pairwise_plan(count)[1])
+
+
+def _work_rows(count: int, terms: int) -> int:
+    """Rows of a finite-N call's work block: d and Lambda of one group of
+    modes, and the rows of `_pairwise_mode_sum`."""
+    return 2 * _group(count) + _sum_rows(count, terms)
 
 
 def _pairwise_mode_sum(count, evaluate, work, dest):
@@ -222,56 +242,53 @@ def _pairwise_mode_sum(count, evaluate, work, dest):
     field, adding in the order of numpy's float add.reduce along a row, so
     each column has the bits of x.sum(axis=1) over that field's terms.
 
-    evaluate(lo, hi, out) yields the terms of modes lo..hi-1 in turn, each
-    written into out (hi - lo rows of F).  It is asked for groups of 8
-    modes and then for a leaf's leftover modes, leaf by leaf of numpy's
+    evaluate(lo, hi, out) writes the terms of modes lo..hi-1 into out
+    (terms, hi - lo, F) and returns it.  It is asked for groups of 8 modes
+    and then for a leaf's leftover modes, leaf by leaf of numpy's
     pairwise_sum: a leaf of n >= 8 modes adds its groups into 8
     accumulators, folds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
     (r6 + r7)) and adds the rest one mode at a time; fewer than 8 modes
-    are added one at a time.  The sum starts from +0.0, as numpy's does,
-    so -0.0 terms sum to +0.0.  work holds `_sum_rows` rows of F columns.
+    are added one at a time.  Every step adds all terms in one call.  The
+    sum starts from +0.0, as numpy's does, so -0.0 terms sum to +0.0.
+    work holds `_sum_rows` rows of F columns.
     """
     terms, cols = dest.shape
     unroll = PAIRWISE_UNROLL
     steps, partials = _pairwise_plan(count)
-    scratch = work[:unroll]
-    acc = work[unroll : unroll * (1 + terms)].reshape(terms, unroll, cols)
-    sums = [dest, *work[unroll * (1 + terms) : _sum_rows(count, terms)]
-            .reshape(partials, terms, cols)]
+    sums = [dest, *work[: partials * terms].reshape(partials, terms, cols)]
+    blocks = work[partials * terms : _sum_rows(count, terms)]
+    acc, *later = blocks.reshape(-1, terms, _group(count), cols)
     for lo, n, into in steps:
+        total = sums[into]
         if lo is None:
-            sums[into] += sums[n]
+            total += sums[n]
             continue
         full, stop = lo + n - n % unroll, lo + n
-        for start in range(lo, full, unroll):
-            for total, term in zip(acc, evaluate(start, start + unroll, scratch)):
-                if start == lo:
-                    np.copyto(total, term)
-                else:
-                    total += term
         if full > lo:
-            for total, out in zip(acc, sums[into]):
-                # fold in place: the pairs in rows 0, 2, 4, 6, the quads in 0, 4
-                np.add(total[0::2], total[1::2], out=total[0::2])
-                np.add(total[0::4], total[2::4], out=total[0::4])
-                np.add(total[0], total[4], out=out)
+            evaluate(lo, lo + unroll, acc)
+            for start in range(lo + unroll, full, unroll):
+                acc += evaluate(start, start + unroll, *later)
+            # fold in place: the pairs in rows 0, 2, 4, 6, the quads in 0, 4
+            np.add(acc[:, 0::2], acc[:, 1::2], out=acc[:, 0::2])
+            np.add(acc[:, 0::4], acc[:, 2::4], out=acc[:, 0::4])
+            np.add(acc[:, 0], acc[:, 4], out=total)
         if stop > full:
-            for out, term in zip(sums[into], evaluate(full, stop, scratch[: stop - full])):
-                if full == lo:
-                    np.copyto(out, term[0])
-                for row in term[full == lo :]:
-                    out += row
+            rest = evaluate(full, stop, acc[:, : stop - full])
+            if full == lo:
+                np.copyto(total, rest[:, 0])
+            for i in range(full == lo, stop - full):
+                total += rest[:, i]
     dest += 0.0
 
 
 def _chunked_mode_sums(modes, count, lams, beta_tilde, with_mz) -> np.ndarray:
     """Each `_terms` term summed over count modes at the 1-D fields lams,
     shape (terms, lams.size), by `_pairwise_mode_sum` over equal chunks of
-    lams as wide as WORK_ELEMENTS allows, through work arrays allocated
-    once per call."""
-    out = np.empty((with_mz + len(modes.g), lams.size))
-    unroll = PAIRWISE_UNROLL
-    rows = 2 * unroll + _sum_rows(count, out.shape[0])
+    lams as wide as WORK_ELEMENTS allows, through one work block of
+    `_work_rows` rows allocated once per call."""
+    out = np.empty((with_mz + len(modes.b), lams.size))
+    group = _group(count)
+    rows = _work_rows(count, out.shape[0])
     chunks = max(1, -(-lams.size // (WORK_ELEMENTS // rows)))
     cols = max(1, -(-lams.size // chunks))
     block = np.empty((rows, cols))  # the work arrays of every chunk
@@ -281,13 +298,13 @@ def _chunked_mode_sums(modes, count, lams, beta_tilde, with_mz) -> np.ndarray:
             stop = min(start + cols, lams.size)
             lam = lams[None, start:stop]
             w = block[:, : stop - start]
-            d, energy = w[:unroll], w[unroll : 2 * unroll]
+            d, energy = w[:group], w[group : 2 * group]
 
-            def evaluate(lo, hi, term):
-                work = d[: hi - lo], energy[: hi - lo], term
+            def evaluate(lo, hi, terms):
+                work = d[: hi - lo], energy[: hi - lo], terms
                 return _terms(modes, lam, beta_tilde, with_mz, slice(lo, hi), work)
 
-            _pairwise_mode_sum(count, evaluate, w[2 * unroll :], out[:, start:stop])
+            _pairwise_mode_sum(count, evaluate, w[2 * group :], out[:, start:stop])
     finally:
         np.setbufsize(buffer)
     return out
@@ -317,8 +334,7 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
         def mean(mz, rs):
             def at_nodes(pair):
                 row, phi = pair
-                (term,) = _terms(_Modes.at(phi, gamma, rs), flat[row], beta_tilde, mz)
-                return term
+                return _terms(_Modes.at(phi, gamma, rs), flat[row], beta_tilde, mz)[0]
 
             return integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size) / math.pi
 
@@ -327,8 +343,7 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     else:
         modes = _Modes.at(_momenta(size), gamma, offsets)
         if flat.size == 1:  # one field: its column over the modes is the row numpy sums
-            out = np.array([np.add.reduce(term[:, 0], keepdims=True)
-                            for term in _terms(modes, flat, beta_tilde, with_mz)])
+            out = _terms(modes, flat, beta_tilde, with_mz)[:, :, 0].sum(axis=1, keepdims=True)
         else:
             out = _chunked_mode_sums(modes, size // 2, flat, beta_tilde, with_mz)
         out *= 2.0 / size

@@ -212,6 +212,9 @@ def test_benford_tiny_and_huge_values_warn_nothing(tmp_path, capsys):
     [
         ("1.5\nabc\n", "malformed numeric token"),
         ("\n   \n", "no usable rows"),
+        ("1.5\nnan\n", "vals.txt:2: non-finite value 'nan'"),
+        ("inf\n2.0\n", "vals.txt:1: non-finite value 'inf'"),
+        ("1.5\n\n-Infinity,\n", "vals.txt:3: non-finite value '-Infinity'"),
     ],
 )
 def test_benford_bad_files_exit_3(tmp_path, capsys, content, needle):

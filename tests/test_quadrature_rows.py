@@ -50,7 +50,7 @@ def test_rows_match_depth_first_stack_bit_for_bit():
         assert integrate(kinked_scalar(c), 0.0, 1.0) == value
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 64])
+@pytest.mark.parametrize("batch", [1, 2, 3, 64, 256])
 def test_row_alone_equals_row_in_batch(monkeypatch, batch):
     together = integrate(kinked, 0.0, 1.0, rows=KINKS.size)
     monkeypatch.setattr(quadrature, "ROWS_PER_BATCH", batch)

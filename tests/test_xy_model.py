@@ -22,6 +22,8 @@ from benfordxy.xy_model import (
     observable_curve,
 )
 
+SHIPPED_WORK_ELEMENTS = xy_model.WORK_ELEMENTS
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -135,26 +137,80 @@ def _pointwise(name, beta_tilde, lams, size):
 def test_curve_matches_pointwise_calls(monkeypatch):
     # Field arrays of every length around a chunk boundary, and a 2-D one,
     # give each element the exact bits of its own scalar call (one field,
-    # summed by numpy itself).  A small work budget puts chunk boundaries
-    # inside the pool; N = 14 and 1000 differ in pairwise leaves and splits.
-    # lam = -1 puts the smallest quasiparticle energy (phi = pi) into the
-    # first column.  It is not zero: sin(pi) is 1.2e-16 in doubles, so
-    # Lambda there is 6e-17.
-    monkeypatch.setattr(xy_model, "WORK_ELEMENTS", 8192)
+    # summed by numpy itself).  Chunk boundaries are checked at a small work
+    # budget and at the shipped one; past the pool's end the fields repeat
+    # it, and so must the values.  N = 14 and 1000 differ in pairwise leaves
+    # and splits.  lam = -1 puts the smallest quasiparticle energy (phi =
+    # pi) into the first column.  It is not zero: sin(pi) is 1.2e-16 in
+    # doubles, so Lambda there is 6e-17.
     pool = np.linspace(-1.0, 2.0, 2500)
     for size in (14, 1000):
         for name, beta_tilde, terms in (("mz", math.inf, 1), ("mz", 5.0, 1),
                                         ("txx", math.inf, 1), ("g:3", math.inf, 1),
                                         ("tzz", math.inf, 3)):
-            rows = 2 * xy_model.PAIRWISE_UNROLL + xy_model._sum_rows(size // 2, terms)
-            cols = xy_model.WORK_ELEMENTS // rows  # the widest chunk
             want = _pointwise(name, beta_tilde, pool, size)
             curve = ObservableCurve(ObservableKind.parse(name), 0.5, beta_tilde, size)
-            for length in (1, 2, 3, cols - 1, cols, cols + 1, 2 * cols + 1, pool.size):
-                assert np.array_equal(curve(pool[:length]), want[:length]), (name, length)
+            for budget in (8192, SHIPPED_WORK_ELEMENTS):
+                monkeypatch.setattr(xy_model, "WORK_ELEMENTS", budget)
+                cols = budget // xy_model._work_rows(size // 2, terms)  # the widest chunk
+                lams = np.resize(pool, max(pool.size, 2 * cols + 1))
+                wants = np.resize(want, lams.size)
+                for length in (1, 2, 3, cols - 1, cols, cols + 1, 2 * cols + 1, pool.size):
+                    got = curve(lams[:length])
+                    assert np.array_equal(got, wants[:length]), (name, budget, length)
             got = curve(pool.reshape(50, 50))
             assert got.shape == (50, 50)
             assert np.array_equal(got.reshape(-1), want), name
+
+
+_KIND_SETS = {1: (ObservableKind("mz"),), 2: (ObservableKind("mz"), ObservableKind("txx")),
+              3: (ObservableKind("tzz"),)}  # by the number of terms summed
+
+
+def test_work_block_fits_the_budget(monkeypatch):
+    # One finite-N call allocates one work block of at most WORK_ELEMENTS
+    # float64, and its chunks cover the fields, at every size from N = 4 to
+    # 1000 and for 1 to 3 summed terms.  The sums are stubbed out.
+    blocks = []
+
+    def record(count, evaluate, work, dest):
+        blocks.append((work.base.size, dest.shape[1]))
+        dest[...] = 0.0
+
+    monkeypatch.setattr(xy_model, "_pairwise_mode_sum", record)
+    lams = np.linspace(0.5, 1.5, 30000)  # wider than one chunk at every size
+    for size in range(4, 1001, 2):
+        for terms, kinds in _KIND_SETS.items():
+            blocks.clear()
+            ObservableCurve(kinds, 0.5, size=size)(lams)
+            assert len(blocks) > 1, (size, terms)
+            assert len({block for block, _ in blocks}) == 1, (size, terms)
+            assert blocks[0][0] <= xy_model.WORK_ELEMENTS, (size, terms)
+            assert sum(width for _, width in blocks) == lams.size, (size, terms)
+
+
+def test_work_rows_follow_the_plan(monkeypatch):
+    # The work block has the rows the pairwise plan uses and no more: a call
+    # writes every row of it.  N = 4 and 14 have fewer than 8 modes (no
+    # accumulator group), 16 one 8-mode group, 18 and 40 a second group for
+    # the later modes, 258 and 1000 partial sums.
+    real = xy_model._pairwise_mode_sum
+    touched = []
+
+    def sentinel(count, evaluate, work, dest):
+        work.base[...] = np.nan
+        real(count, evaluate, work, dest)
+        touched.append(~np.isnan(work.base).all(axis=1))
+
+    monkeypatch.setattr(xy_model, "_pairwise_mode_sum", sentinel)
+    lams = np.linspace(0.5, 1.5, 300)
+    for size in (4, 14, 16, 18, 40, 258, 1000):
+        for terms, kinds in _KIND_SETS.items():
+            touched.clear()
+            ObservableCurve(kinds, 0.5, size=size)(lams)
+            (rows,) = touched
+            assert rows.size == xy_model._work_rows(size // 2, terms), (size, terms)
+            assert rows.all(), (size, terms)
 
 
 def _reference(name, beta_tilde, lams, gamma, size):
@@ -203,6 +259,23 @@ def test_kernel_keeps_reference_bits(size, gamma):
         assert curve(lams).tobytes() == want.tobytes(), (name, beta_tilde)
 
 
+@pytest.mark.parametrize("size", (4, 14))
+@pytest.mark.parametrize("gamma", (0.5, 1e-200))
+def test_small_chains_keep_reference_bits_across_chunks(size, gamma):
+    # With fewer than 8 modes a chunk is only d, Lambda and terms over all
+    # modes, so it is as wide as the shipped budget allows; fields spanning
+    # three such chunks keep the reference bits, zero energies included.
+    phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+    base = np.concatenate((np.linspace(-1.5, 2.5, 1201), np.cos(phi), [-1.0, 1.0]))
+    for name, beta_tilde, terms in (("mz", math.inf, 1), ("mz", 5.0, 1),
+                                    ("txx", math.inf, 1), ("tzz", math.inf, 3)):
+        cols = xy_model.WORK_ELEMENTS // xy_model._work_rows(size // 2, terms)
+        lams = np.resize(base, 2 * cols + 1)
+        curve = ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde, size)
+        want = _reference(name, beta_tilde, lams, gamma, size)
+        assert curve(lams).tobytes() == want.tobytes(), (name, beta_tilde)
+
+
 def test_mode_sum_is_numpy_row_sum():
     # The finite-N kernel adds (modes, fields) blocks, 8 modes at a time, in
     # the order numpy's x.sum(axis=1) adds a row, and sums a single field
@@ -224,8 +297,8 @@ def test_mode_sum_is_numpy_row_sum():
         modes_first = np.ascontiguousarray(x.T)
 
         def evaluate(lo, hi, out):
-            np.copyto(out, modes_first[lo:hi, : out.shape[1]])
-            yield out
+            np.copyto(out[0], modes_first[lo:hi, : out.shape[2]])
+            return out
 
         for width in (2, fields):
             work = np.empty((xy_model._sum_rows(count, 1), fields + 3))[:, :width]
