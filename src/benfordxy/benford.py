@@ -102,9 +102,12 @@ class DigitKey:
 
 
 def digit_keys(values, k: int) -> np.ndarray:
-    """Vectorized digit extraction: int64 key per nonzero finite value."""
+    """Vectorized digit extraction: int64 key per nonzero finite value, in
+    the shape of values (a numpy integer for a scalar)."""
     _check_depth(k)
     ax = np.abs(np.asarray(values, dtype=float))
+    if not ax.ndim:  # a scalar is keyed as a 1-element array
+        return digit_keys(ax.reshape(1), k)[0]
     if ax.size:
         # a NaN makes the minimum NaN, which fails the test as 0 does
         smallest, largest = ax.min(), ax.max()
@@ -140,8 +143,7 @@ def digit_keys(values, k: int) -> np.ndarray:
     # with the exponent settled, the scaled value can only leave the key
     # range by rounding across it, which pins the digits: all nines above
     # (clamp to hi), a bare 1 followed by zeros below (clamp to lo)
-    out = m if m.ndim else None  # in place, but for a scalar value
-    return np.minimum(np.maximum(m, lo, out=out), hi, out=out)
+    return np.minimum(np.maximum(m, lo, out=m), hi, out=m)
 
 
 def significant_digits(x: float, k: int) -> DigitKey:

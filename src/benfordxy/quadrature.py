@@ -11,9 +11,14 @@ One engine integrates a batch of integrands ("rows", e.g. one per field
 value) at once.  Every row keeps its own interval tree, tolerance halving
 and budget; the engine walks the trees level by level and evaluates the
 whole frontier of all rows in one vectorized integrand call per level.
-Converged pieces are summed per row from left to right, the order of a
-depth-first walk, so a row's result does not depend on the other rows in
-its batch.  A scalar integral is the one-row case.
+The rows halve the same interval [a, b], so their trees share intervals:
+each level keeps one table of the intervals open in some row, with their
+midpoints, Simpson weights and new nodes, and the integrand gets each
+node of the level once, with the (row, node) entries as indices into it.
+A node's float is a function of its place in the tree alone, so sharing
+it changes no bit.  Converged pieces are summed per row from left to
+right, the order of a depth-first walk, so a row's result does not depend
+on the other rows in its batch.  A scalar integral is the one-row case.
 """
 
 from __future__ import annotations
@@ -48,9 +53,13 @@ def integrate(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     With ``rows=None``, f maps a float to a float and the integral is a
-    float.  With ``rows=R``, f maps one pair ``(row, x)`` of equal-length
-    arrays (row indices in range(R) and nodes) to the integrands' values
-    there, and the result is the array of the R integrals.
+    float.  With ``rows=R``, f maps one triple ``(row, nodes, at)`` to the
+    integrands' values at a level's entries, and the result is the array
+    of the R integrals: row and at are equal-length index arrays, and
+    entry i is row ``row[i]`` (in range(R)) at node ``nodes[at[i]]``.
+    nodes holds each node of the level once (``[a, (a + b)/2, b]`` in the
+    first call), so f can compute what depends on the node alone once per
+    node and gather it per entry.
 
     Every row may use up to max_intervals subintervals; one row that needs
     more raises QuadratureError for the whole call.  Deterministic: each
@@ -63,8 +72,9 @@ def integrate(
         raise ValueError("tol must be positive")
     if rows is None:
 
-        def batch(pair):
-            return np.array([f(x) for x in pair[1].tolist()], dtype=float)
+        def batch(entries):
+            _, nodes, at = entries
+            return np.array([f(x) for x in nodes[at].tolist()], dtype=float)
 
         return float(_integrate_rows(batch, a, b, 1, tol, max_intervals)[0])
     return _integrate_rows(f, a, b, rows, tol, max_intervals)
@@ -89,18 +99,21 @@ def _pairs(left, right):
 def _batch(f, a, b, ids, tol, max_intervals) -> np.ndarray:
     k = ids.size
     m = 0.5 * (a + b)
-    fx = np.asarray(f((np.tile(ids, 3), np.repeat([a, m, b], k))), dtype=float)
+    at = np.repeat(np.arange(3), k)
+    fx = np.asarray(f((np.tile(ids, 3), np.array([a, m, b], dtype=float), at)), dtype=float)
     fa, fm, fb = fx[:k], fx[k : 2 * k], fx[2 * k :]
     floor = 1e-14 * (b - a)
 
-    # The frontier: intervals (lo, hi, f(lo), f(mid), f(hi), simpson, local
-    # tol) of every row still open, row `row`, grouped by row and in tree
-    # order within a row.
-    row = np.arange(k)
-    lo, hi = np.full(k, float(a)), np.full(k, float(b))
+    # The level's table: each interval (lo, hi) open in some row, once, in
+    # tree order.  The frontier: per interval still open in a row, that row,
+    # the interval's index `at` in the table, f(lo), f(mid), f(hi) and its
+    # Simpson value; grouped by row and in tree order within a row.  Every
+    # interval of a level has the same depth, so one tolerance t.
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    row, at = np.arange(k), np.zeros(k, dtype=np.intp)
     flo, fmid, fhi = fa, fm, fb
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    t = np.full(k, float(tol))
+    t = float(tol)
     used = np.zeros(k, dtype=np.int64)
     levels = []  # per level: (row, converged mask, converged pieces)
     while row.size:
@@ -110,28 +123,43 @@ def _batch(f, a, b, ids, tol, max_intervals) -> np.ndarray:
                 f"quadrature did not converge within {max_intervals} "
                 f"subintervals (tol={tol:g}); check tolerance and parameters"
             )
+        # per interval of the table: midpoint, Simpson weights, floor test
         mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        n = row.size
-        nodes = (np.concatenate((ids[row], ids[row])), np.concatenate((lm, rm)))
-        fv = np.asarray(f(nodes), dtype=float)
+        wl, wr = (mid - lo) / 6.0, (hi - mid) / 6.0
+        small = (hi - lo) <= floor
+        n, span = row.size, lo.size
+        nodes = np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi)))
+        r = ids[row]
+        fv = np.asarray(f((np.concatenate((r, r)), nodes, np.concatenate((at, at + span)))),
+                        dtype=float)
         flm, frm = fv[:n], fv[n:]
-        sl = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        sr = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = sl + sr - s
-        done = (np.abs(err) <= 15.0 * t) | ((hi - lo) <= floor)
-        levels.append((row, done, (sl + sr + err / 15.0)[done]))
+        sl = wl[at] * (flo + 4.0 * flm + fmid)
+        sr = wr[at] * (fmid + 4.0 * frm + fhi)
+        both = sl + sr
+        err = both - s
+        done = (np.abs(err) <= 15.0 * t) | small[at]
+        levels.append((row, done, (both + err / 15.0)[done]))
         go = ~done
+        # the next table: the halves of the intervals still open in some
+        # row, in tree order, so the j-th of these has intervals 2j, 2j + 1
+        parent = at[go]
+        still = np.zeros(span, dtype=bool)
+        still[parent] = True
+        kept = np.flatnonzero(still)
+        first = np.empty(span, dtype=np.intp)
+        first[kept] = np.arange(0, 2 * kept.size, 2)
+        lo, hi = _pairs(lo[kept], mid[kept]), _pairs(mid[kept], hi[kept])
+        left = first[parent]
+        at = _pairs(left, left + 1)
         row = np.repeat(row[go], 2)
-        lo, hi = _pairs(lo[go], mid[go]), _pairs(mid[go], hi[go])
+        fmid_go = fmid[go]
         flo, fmid, fhi = (
-            _pairs(flo[go], fmid[go]),
+            _pairs(flo[go], fmid_go),
             _pairs(flm[go], frm[go]),
-            _pairs(fmid[go], fhi[go]),
+            _pairs(fmid_go, fhi[go]),
         )
         s = _pairs(sl[go], sr[go])
-        t = np.repeat(0.5 * t[go], 2)
+        t *= 0.5
     return _sum_in_order(levels, k)
 
 

@@ -17,11 +17,13 @@ s2 = (gamma sin phi)^2, the M_z term is [tanh(bt*L/2)] d/L (M_z is minus
 its mean) and the G(r) term is (a_r - b_r d)/L with a_r =
 gamma sin(r phi) sin phi and b_r = cos(r phi).  cos phi, s2, a_r and b_r
 depend only on the modes, so they are computed once per call (at N = inf
-the modes are the quadrature nodes of one integrand call).  A term is 0
+once per distinct quadrature node of a level, shared by every field of
+the batch and gathered per (field, node) entry).  A term is 0
 where L = 0.  That guard runs only when s2 = 0 at some mode: otherwise
-L >= sqrt(s2) > 0 for every field.  It always runs at N = inf, whose nodes
-include phi = 0, and at finite N only when (gamma sin(pi))^2 underflows,
-i.e. |gamma| below about 1e-146.
+L >= sqrt(s2) > 0 for every field.  It runs at N = inf on a quadrature's
+first level, whose nodes include phi = 0, and otherwise only when s2
+underflows at some mode: at finite N when (gamma sin(pi))^2 does, i.e.
+|gamma| below about 1e-146.
 """
 
 from __future__ import annotations
@@ -324,17 +326,18 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     of a row sum over its own modes and none depends on the chunk.  At
     N = inf each term is one quadrature call that integrates every lam at
     once: each lam is a row of the batched adaptive Simpson rule, and the
-    modes are its nodes; the terms are integrated separately because their
-    adaptive trees differ.
+    modes are its nodes, whose constants are computed once per node of a
+    level and gathered by `_terms` per (lam, node) entry; the terms are
+    integrated separately because their adaptive trees differ.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
     if size is None:
 
         def mean(mz, rs):
-            def at_nodes(pair):
-                row, phi = pair
-                return _terms(_Modes.at(phi, gamma, rs), flat[row], beta_tilde, mz)[0]
+            def at_nodes(entries):
+                row, nodes, at = entries
+                return _terms(_Modes.at(nodes, gamma, rs), flat[row], beta_tilde, mz, at)[0]
 
             return integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size) / math.pi
 

@@ -51,6 +51,22 @@ def test_digit_keys_vector_and_scalar_agree():
             assert benford.significant_digits(float(x), k).value == kv
 
 
+def test_digit_keys_scalar_keeps_shape():
+    # a 0-d value takes the decade corrections and the tiny-value lift
+    # like an array entry, and comes back as a 0-d key
+    for value, key in ((0.1, 10), (1e23, 99), (1e-300, 10), (3.7, 37), (-0.5, 50)):
+        got = benford.digit_keys(value, 2)
+        assert np.shape(got) == () and got == key, value
+        assert benford.digit_keys(np.float64(value), 2) == key
+    # arrays keep their shape, and each entry the key it has alone
+    vals = np.array([[0.1, 1e23, 1e-300], [3.7, 9.99e-308, 5e10]])
+    keys = benford.digit_keys(vals, 2)
+    assert keys.shape == vals.shape and keys.dtype == np.int64
+    assert keys.tolist() == [[10, 99, 10], [37, 99, 50]]
+    assert [benford.digit_keys(x, 2) for x in vals.ravel()] == keys.ravel().tolist()
+    assert benford.digit_keys(np.empty((0, 3)), 2).shape == (0, 3)
+
+
 def test_digit_keys_rejects_bad_values():
     with pytest.raises(ValueError):
         benford.digit_keys([1.0, 0.0], 1)

@@ -12,8 +12,9 @@ from benfordxy.quadrature import QuadratureError, integrate
 KINKS = np.array([1.0 / math.sqrt(2.0), math.pi / 5.0, 0.5 + 1e-9, math.e / 3.0, 0.1])
 
 
-def kinked(pair):
-    row, x = pair
+def kinked(entries):
+    row, nodes, at = entries
+    x = nodes[at]
     return np.sqrt(np.abs(x - KINKS[row])) + x * x
 
 
@@ -56,7 +57,7 @@ def test_row_alone_equals_row_in_batch(monkeypatch, batch):
     monkeypatch.setattr(quadrature, "ROWS_PER_BATCH", batch)
     assert np.array_equal(integrate(kinked, 0.0, 1.0, rows=KINKS.size), together)
     for i in range(KINKS.size):
-        alone = integrate(lambda pair: kinked((pair[0] + i, pair[1])), 0.0, 1.0, rows=1)
+        alone = integrate(lambda e: kinked((e[0] + i, e[1], e[2])), 0.0, 1.0, rows=1)
         assert alone[0] == together[i]
 
 
@@ -72,9 +73,12 @@ def test_one_row_over_budget_fails_the_call():
 def test_one_call_per_level():
     calls = []
 
-    def counted(pair):
-        calls.append(pair[1].size)
-        return kinked(pair)
+    def counted(entries):
+        _, nodes, at = entries
+        assert np.unique(nodes).size == nodes.size  # each node of the level once
+        assert at.min() >= 0 and at.max() < nodes.size
+        calls.append(at.size)
+        return kinked(entries)
 
     integrate(counted, 0.0, 1.0, rows=KINKS.size)
     assert calls[0] == 3 * KINKS.size  # both ends and the midpoint of each row

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from benfordxy import xy_model
+from benfordxy import quadrature, xy_model
 from benfordxy.quadrature import integrate
 from benfordxy.xy_model import (
     ModelParams,
@@ -370,8 +370,9 @@ def test_thermodynamic_limit_keeps_reference_bits():
     gamma = 0.5
 
     def reference(num_of):
-        def at_nodes(pair):
-            row, phi = pair
+        def at_nodes(entries):
+            row, nodes, at = entries
+            phi = nodes[at]
             lam = lams[row]
             s = gamma * np.sin(phi)
             c = lam - np.cos(phi)
@@ -386,6 +387,44 @@ def test_thermodynamic_limit_keeps_reference_bits():
                          - np.cos(-phi) * (np.cos(phi) - lam))
     assert mz_curve(lams, gamma).tobytes() == want_mz.tobytes()
     assert correlator_curve(-1, lams, gamma).tobytes() == want_txx.tobytes()
+
+
+def test_thermodynamic_limit_shares_mode_constants(monkeypatch):
+    # The rows of a batch share the quadrature's nodes, so the mode
+    # constants are computed once per distinct node of a level and gathered
+    # per (row, node) entry: far fewer nodes than entries reach _Modes.at.
+    nodes, entries = [], []
+    real_at, real_integrate = xy_model._Modes.at, xy_model.integrate
+
+    def counted_at(phi, gamma, offsets):
+        nodes.append(np.size(phi))
+        return real_at(phi, gamma, offsets)
+
+    def counted_integrate(f, *args, **kwargs):
+        def g(level):
+            entries.append(np.size(level[0]))
+            return f(level)
+
+        return real_integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(xy_model._Modes, "at", staticmethod(counted_at))
+    monkeypatch.setattr(xy_model, "integrate", counted_integrate)
+    mz_curve(np.linspace(0.8, 1.2, 200), 0.5)
+    assert len(nodes) == len(entries) > 1
+    assert 20 * sum(nodes) < sum(entries)
+
+
+def test_thermodynamic_limit_rows_do_not_depend_on_batch(monkeypatch):
+    # A row's integral is a function of its own integrand only, however
+    # many rows share its batch and its levels' node tables.
+    lams = np.linspace(0.9, 1.1, 20)
+    curves = (ObservableCurve(ObservableKind("tzz"), 0.5),
+              ObservableCurve((ObservableKind("mz"), ObservableKind("txx")), 0.5))
+    got = []
+    for batch in (1, 7, 256):
+        monkeypatch.setattr(quadrature, "ROWS_PER_BATCH", batch)
+        got.append([curve(lams).tobytes() for curve in curves])
+    assert got[0] == got[1] == got[2]
 
 
 def test_curve_is_picklable():
