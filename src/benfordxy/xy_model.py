@@ -3,26 +3,25 @@
 Closed-form transverse magnetization and two-point correlators, evaluated
 either as discrete momentum sums for a finite periodic chain of N sites
 (momenta phi_p = 2*pi*p/N, p = 1..N/2) or as momentum integrals over
-[0, pi] in the thermodynamic limit.  All quantities are dimensionless:
-the driving field lam, the anisotropy gamma (finite and nonzero, gamma = 1
-is the transverse Ising chain) and the inverse temperature beta_tilde, where
-``math.inf`` selects the zero-temperature ground state exactly (the
-thermal tanh factor is replaced by 1, never by a large finite argument).
+[0, pi] in the thermodynamic limit (``system_size=None``): weighted sums
+over the nodes of a fixed graded Gauss-Legendre rule (`quadrature.rule`).
+All quantities are dimensionless: the driving field lam, the anisotropy
+gamma (finite and nonzero, gamma = 1 is the transverse Ising chain) and the
+inverse temperature beta_tilde, where ``math.inf`` selects the
+zero-temperature ground state exactly (the thermal tanh factor is replaced
+by 1, never by a large finite argument).
 
-The thermodynamic limit is requested with ``system_size=None``.
-
-Both sizes share one set of term expressions (`_terms`).  With
-d = cos phi - lam and the quasiparticle energy L = sqrt(s2 + d*d),
-s2 = (gamma sin phi)^2, the M_z term is [tanh(bt*L/2)] d/L (M_z is minus
-its mean) and the G(r) term is (a_r - b_r d)/L with a_r =
-gamma sin(r phi) sin phi and b_r = cos(r phi).  cos phi, s2, a_r and b_r
-depend only on the modes, so they are computed once per call (at N = inf
-once per distinct quadrature node of a level, shared by every field of
-the batch and gathered per (field, node) entry).  A term is 0
-where L = 0.  That guard runs only when s2 = 0 at some mode: otherwise
-L >= sqrt(s2) > 0 for every field.  It runs at N = inf on a quadrature's
-first level, whose nodes include phi = 0, and otherwise only when s2
-underflows at some mode: at finite N when (gamma sin(pi))^2 does, i.e.
+Both sizes share one kernel: one set of term expressions (`_terms`) and
+one chunked mode sum (`_chunked_mode_sums`).  With d = cos phi - lam and
+the quasiparticle energy L = sqrt(s2 + d*d), s2 = (gamma sin phi)^2, the
+M_z term is [tanh(bt*L/2)] d/L (M_z is minus its mean) and the G(r) term
+is (a_r - b_r d)/L with a_r = gamma sin(r phi) sin phi and b_r =
+cos(r phi).  cos phi, s2, a_r and b_r depend only on the modes, so they
+are computed once per call, and every term of a call comes from one L per
+(field, mode).  At N = inf each term also carries its node's weight / pi.
+A term is 0 where L = 0.  That guard runs only when s2 = 0 at some mode
+(otherwise L >= sqrt(s2) > 0): as every quadrature node is inside (0, pi),
+only when s2 underflows, at finite N when (gamma sin(pi))^2 does, i.e.
 |gamma| below about 1e-146.
 """
 
@@ -35,10 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import integrate, rule_size
 
-#: tolerance for thermodynamic-limit momentum integrals
-QUAD_TOL = 1e-10
 #: numpy's float add.reduce (its pairwise_sum): 8 accumulators over leaves
 #: of at most 128 elements, split in halves rounded down to a multiple of 8
 PAIRWISE_UNROLL = 8
@@ -138,21 +135,26 @@ class _Modes:
     (gamma sin phi)^2 and, stacked on a leading axis with one entry per G
     offset r, a = gamma sin(r phi) sin phi and b = cos(r phi).  guard is
     False when s2 > 0 at every mode: then Lambda >= sqrt(s2) > 0 for every
-    field, and no zero energy is possible."""
+    field, and no zero energy is possible.  weight is None at finite N; at
+    N = inf each node's weight / pi, which a carries and `_terms` multiplies
+    into d = cos phi - lam once L is computed: so it weights every term."""
 
     cos: np.ndarray
     s2: np.ndarray
     guard: bool
     a: np.ndarray
     b: np.ndarray
+    weight: np.ndarray | None = None
 
     @classmethod
-    def at(cls, phi, gamma, offsets):
+    def at(cls, phi, gamma, offsets, weight=None):
         s = gamma * np.sin(phi)
         s2 = s * s
-        r = np.reshape(np.array(offsets, dtype=np.int64), (-1,) + (1,) * np.ndim(phi))
+        r = np.array(offsets, dtype=np.int64).reshape(-1, 1, 1)  # phi is a column
         a = gamma * np.sin(r * phi) * np.sin(phi)
-        return cls(np.cos(phi), s2, not (s2 > 0.0).all(), a, np.cos(r * phi))
+        if weight is not None:
+            a *= weight
+        return cls(np.cos(phi), s2, not (s2 > 0.0).all(), a, np.cos(r * phi), weight)
 
 
 def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
@@ -161,7 +163,8 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
     on a leading axis: the M_z term [tanh(bt*L/2)] (cos phi - lam)/L if
     with_mz (without M_z's minus sign; the tanh factor is exactly 1 at
     bt = inf), then one G(r) term [gamma sin(r phi) sin phi - cos(r phi)
-    (cos phi - lam)]/L per offset.
+    (cos phi - lam)]/L per offset; each times the mode's weight when
+    modes.weight is set.
 
     Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
     where L is 0 (only when modes.guard).  work holds the d, L and terms
@@ -176,6 +179,8 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
     if modes.guard:
         zero = energy == 0.0
         np.copyto(energy, 1.0, where=zero)  # the terms there are set to 0 below
+    if modes.weight is not None:
+        d *= modes.weight[rows]
     if with_mz:
         if math.isinf(beta_tilde):
             np.divide(d, energy, out=out[0])
@@ -283,11 +288,15 @@ def _pairwise_mode_sum(count, evaluate, work, dest):
     dest += 0.0
 
 
-def _chunked_mode_sums(modes, count, lams, beta_tilde, with_mz) -> np.ndarray:
-    """Each `_terms` term summed over count modes at the 1-D fields lams,
-    shape (terms, lams.size), by `_pairwise_mode_sum` over equal chunks of
-    lams as wide as WORK_ELEMENTS allows, through one work block of
-    `_work_rows` rows allocated once per call."""
+def _chunked_mode_sums(modes, lams, beta_tilde, with_mz) -> np.ndarray:
+    """Each `_terms` term summed over the modes at the 1-D fields lams, shape
+    (terms, lams.size), each with the bits of a row sum over its own field's
+    terms: one field's column by numpy itself, more fields by
+    `_pairwise_mode_sum` over equal chunks of lams as wide as WORK_ELEMENTS
+    allows, through one work block of `_work_rows` rows allocated once."""
+    count = len(modes.cos)
+    if lams.size == 1:  # one field: its column over the modes is the row numpy sums
+        return _terms(modes, lams, beta_tilde, with_mz)[:, :, 0].sum(axis=1, keepdims=True)
     out = np.empty((with_mz + len(modes.b), lams.size))
     group = _group(count)
     rows = _work_rows(count, out.shape[0])
@@ -312,6 +321,13 @@ def _chunked_mode_sums(modes, count, lams, beta_tilde, with_mz) -> np.ndarray:
     return out
 
 
+def _rule_width(gamma, offsets) -> float:
+    """Widest panel of the N = inf rule: 2|gamma| resolves the layer of
+    width about |gamma| around cos phi = lam, and 4/|r| the oscillation of
+    sin(r phi) and cos(r phi) at the largest offset."""
+    return min(2.0 * abs(gamma), 4.0 / max([1, *map(abs, offsets)]))
+
+
 def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
                    offsets=()) -> np.ndarray:
     """Per field lam, the mean of each `_terms` term over the modes:
@@ -319,36 +335,27 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     None).  The means are stacked on a leading axis: shape (terms,) +
     lams.shape.
 
-    At finite N the mode constants are computed once per call, with the
-    modes on the leading axis.  A single lam's terms are one column, which
-    numpy sums itself; more lams are summed by `_chunked_mode_sums`, 8
-    modes at a time in numpy's pairwise order, so every mean has the bits
-    of a row sum over its own modes and none depends on the chunk.  At
-    N = inf each term is one quadrature call that integrates every lam at
-    once: each lam is a row of the batched adaptive Simpson rule, and the
-    modes are its nodes, whose constants are computed once per node of a
-    level and gathered by `_terms` per (lam, node) entry; the terms are
-    integrated separately because their adaptive trees differ.
+    Both sizes compute the mode constants once per call, with the modes on
+    the leading axis, and sum the terms by `_chunked_mode_sums`.  At N = inf
+    the modes are the nodes of `quadrature.rule` on [0, pi], with panels at
+    most `_rule_width` wide, and each term carries its node's weight / pi;
+    the rule depends on gamma and the offsets alone, so no mean depends on
+    the other fields of the call.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
     if size is None:
 
-        def mean(mz, rs):
-            def at_nodes(entries):
-                row, nodes, at = entries
-                return _terms(_Modes.at(nodes, gamma, rs), flat[row], beta_tilde, mz, at)[0]
+        def weighted_sums(nodes_weights):
+            nodes, weights = (x[:, None] for x in nodes_weights)
+            modes = _Modes.at(nodes, gamma, offsets, weights / math.pi)
+            return _chunked_mode_sums(modes, flat, beta_tilde, with_mz)
 
-            return integrate(at_nodes, 0.0, math.pi, tol=QUAD_TOL, rows=flat.size) / math.pi
-
-        means = [mean(True, ())] if with_mz else []
-        out = np.array(means + [mean(False, (r,)) for r in offsets])
+        width = _rule_width(gamma, offsets)
+        out = integrate(weighted_sums, 0.0, math.pi, width, rows=flat.size)
     else:
-        modes = _Modes.at(_momenta(size), gamma, offsets)
-        if flat.size == 1:  # one field: its column over the modes is the row numpy sums
-            out = _terms(modes, flat, beta_tilde, with_mz)[:, :, 0].sum(axis=1, keepdims=True)
-        else:
-            out = _chunked_mode_sums(modes, size // 2, flat, beta_tilde, with_mz)
+        out = _chunked_mode_sums(_Modes.at(_momenta(size), gamma, offsets), flat,
+                                 beta_tilde, with_mz)
         out *= 2.0 / size
     return out.reshape(out.shape[:1] + lams.shape)
 
@@ -375,9 +382,9 @@ def _layout(kinds) -> tuple[bool, tuple, tuple | None]:
 def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     """Each observable of kinds at the fields lams, one row per kind: shape
     (len(kinds),) + lams.shape.  Every term they need is one mean of
-    `_momentum_mean`, so at finite N all kinds share one Lambda per
-    (lam, mode): M_z is minus the M_z mean, G(r) the mean of the r term,
-    T_xx = G(-1), T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1)."""
+    `_momentum_mean`, so all kinds share one Lambda per (lam, mode): M_z
+    is minus the M_z mean, G(r) the mean of the r term, T_xx = G(-1),
+    T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1)."""
     with_mz, offsets, rows = _layout(kinds)
     means = _momentum_mean(lams, size, gamma, beta_tilde, with_mz, offsets)
     if with_mz:
@@ -396,7 +403,8 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     """Transverse magnetization at each field in lams (vectorized).
 
     Finite size: -(2/N) sum_p tanh(bt*L_p/2)(cos phi_p - lam)/L_p.
-    Infinite size: the same integrand averaged over [0, pi] by quadrature.
+    Infinite size: the same integrand averaged over [0, pi], a weighted
+    sum over the nodes of the graded Gauss-Legendre rule.
     """
     return _curves(_MZ, lams, gamma, beta_tilde, size)[0]
 
@@ -412,8 +420,9 @@ def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
     """String correlator G(r, lam) at zero temperature (vectorized in lam).
 
     Infinite size: (1/pi) int_0^pi [gamma sin(r phi) sin phi
-    - cos(r phi)(cos phi - lam)] / Lambda dphi.  Finite size: the discrete
-    momentum sum with the same integrand, (1/pi)int -> (2/N)sum.
+    - cos(r phi)(cos phi - lam)] / Lambda dphi, by the graded rule, whose
+    panels are at most 4/|r| wide.  Finite size: the discrete momentum sum
+    with the same integrand, (1/pi)int -> (2/N)sum.
     """
     if size is not None and abs(r) > size // 2:
         raise ValueError(f"offset |r|={abs(r)} exceeds N/2={size // 2}")
@@ -428,9 +437,9 @@ def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> f
 def tzz_curve(lams, gamma, size=None) -> np.ndarray:
     """T_zz = M_z^2 - G(-1) G(+1) at zero temperature (vectorized in lam).
 
-    At finite size one pass computes each Lambda_p once and sums the M_z,
-    G(-1) and G(+1) terms from it; at N = inf each factor is its own
-    quadrature, since their adaptive trees differ.
+    One pass computes each Lambda once per (lam, mode) and sums the M_z,
+    G(-1) and G(+1) terms from it: the momenta at finite size, the nodes of
+    one graded rule at N = inf.
     """
     return _curves((ObservableKind("tzz"),), lams, gamma, size=size)[0]
 
@@ -458,7 +467,11 @@ class ObservableCurve:
     one row per kind, shape (len(kind),) + lams.shape, every row from one
     momentum pass.  `kinds` and `parts` are tuples for every curve: its
     kinds, and the single-kind curve of each (the curve itself for one
-    kind).
+    kind).  At N = inf a joint curve uses the rule of its largest |r|, which
+    every |r| <= 5 shares, so that its rows keep the single curves' bits.
+    An N = inf curve whose rule needs more than `quadrature.MAX_NODES` nodes
+    (|gamma| below about 4e-4, or |r| above about 5e3) raises
+    `quadrature.QuadratureError` when it is constructed.
     """
 
     kind: ObservableKind | tuple[ObservableKind, ...]
@@ -478,6 +491,8 @@ class ObservableCurve:
                 )
             if self.size is not None and abs(kind.r) > self.size // 2:
                 raise ValueError("correlator offset exceeds N/2")
+        if self.size is None:
+            rule_size(0.0, math.pi, _rule_width(self.gamma, _layout(self.kinds)[1]))
 
     @property
     def kinds(self) -> tuple[ObservableKind, ...]:

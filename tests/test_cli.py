@@ -88,6 +88,24 @@ def test_numeric_failures_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("observable", ["mz", "g:3"])
+def test_quadrature_node_budget_exits_2(tmp_path, capsys, monkeypatch, observable):
+    # gamma = 1e-9 needs panels 2e-9 wide, about 2.5e10 nodes at N = inf:
+    # refused from the node count when the curve is built, before any
+    # window is sampled or any worker forked.
+    def no_windows(*args, **kwargs):
+        raise AssertionError("windows were computed")
+
+    monkeypatch.setattr(cli, "profile_windows", no_windows)
+    code, out, err = run(["profile", "--n-sites", "inf", "--gamma", "1e-9",
+                          "--observable", observable, "--jobs", "2",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error[numeric]:") and "nodes" in err
+    assert len(err.splitlines()) == 1
+    assert out == "" and not list(tmp_path.iterdir())
+
+
 def test_memory_error_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB for an array")

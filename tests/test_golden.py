@@ -67,39 +67,37 @@ GOLDEN = {
         "8c792835dc10523dc8471dac419cbe96e9391da891ead3004a35b2727dd6eb8c",
 }
 
-# N = infinity values recorded with the scalar quadrature the batched engine
-# replaced, on a field grid across lambda_c = 1: {(observable, gamma,
-# beta_tilde): values at INF_LAMS}.  Ground-state values must match exactly.
+# N = infinity values of the graded Gauss-Legendre rule, on a field grid
+# across lambda_c = 1: {(observable, gamma, beta_tilde): values at
+# INF_LAMS}.  They replaced the adaptive Simpson values (moved by at most
+# 6.7e-13; each is within 3.1e-15 of a 30-digit mpmath quadrature) with the
+# N = inf gate of tests/test_inf_gate.py passing.  Ground-state values must
+# match exactly.
 INF_LAMS = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5)
 INF_VALUES = {
-    ("mz", 0.5, math.inf): (0.29665691709367764, 0.7698003459219619,
-                            0.7698003589195082, 0.7698003719170559, 0.9613263294091317),
-    ("txx", 0.5, math.inf): (-0.8858695842358426, -0.46880672359438536,
-                             -0.4688067104290259, -0.46880669726366564,
-                             -0.19433159512903447),
-    ("tyy", 0.5, math.inf): (-0.12370427366470392, 0.13318057405844488,
-                             0.13318058655255138, 0.13318059904664212,
-                             0.16565829216743208),
-    ("tzz", 0.5, math.inf): (-0.021580527020023027, 0.6550285211523311,
-                             0.6550285452673134, 0.6550285693822903, 0.956340951778483),
-    ("g:2", 0.5, math.inf): (-0.0392785354730227, 0.09854809897756805,
-                             0.09854811116531473, 0.09854812335306262,
-                             0.07563337803785332),
-    ("mz", 1.0, math.inf): (0.2586579046115684, 0.6366197654275108,
-                            0.636619772367581, 0.6366197793076523, 0.8773282152447526),
-    ("txx", 1.0, math.inf): (-0.934215457667686, -0.6366197793076516,
-                             -0.636619772367581, -0.63661976542751, -0.3559338986690482),
-    ("tyy", 1.0, math.inf): (0.03347205359255706, 0.2122065842735537,
-                             0.21220659078919382, 0.21220659730483424,
-                             0.27127901833007706),
-    ("tzz", 1.0, math.inf): (0.09817402148409524, 0.5403796345808392,
-                             0.5403796460924677, 0.5403796576040976, 0.8662621958858794),
-    ("g:2", 1.0, math.inf): (0.00851811554433503, 0.12732394812764183,
-                             0.12732395447351622, 0.12732396081939124,
-                             0.13198391105860552),
+    ("mz", 0.5, math.inf): (0.2966569170938958, 0.7698003459220102, 0.7698003589195023,
+                            0.7698003719169955, 0.9613263294091249),
+    ("txx", 0.5, math.inf): (-0.885869584235865, -0.4688067235943331, -0.46880671042902816,
+                             -0.46880669726372187, -0.194331595129035),
+    ("tyy", 0.5, math.inf): (-0.12370427366470686, 0.1331805740578672, 0.13318058655191994,
+                             0.1331805990459739, 0.16565829216743305),
+    ("tzz", 0.5, math.inf): (-0.021580527019898973, 0.6550285211521277, 0.6550285452670086,
+                             0.6550285693818916, 0.9563409517784702),
+    ("g:2", 0.5, math.inf): (-0.03927853547302356, 0.09854809897757588, 0.09854811116528564,
+                             0.09854812335299662, 0.07563337803787576),
+    ("mz", 1.0, math.inf): (0.25865790461134214, 0.6366197654275652, 0.6366197723675824,
+                            0.6366197793076003, 0.8773282152447561),
+    ("txx", 1.0, math.inf): (-0.9342154576676958, -0.6366197793075996, -0.6366197723675824,
+                             -0.6366197654275645, -0.35593389866906333),
+    ("tyy", 1.0, math.inf): (0.033472053592557574, 0.21220658427359018, 0.21220659078919418,
+                             0.21220659730479874, 0.27127901833020385),
+    ("tzz", 1.0, math.inf): (0.09817402148397897, 0.5403796345809206, 0.5403796460924699,
+                             0.5403796576040203, 0.8662621958859349),
+    ("g:2", 1.0, math.inf): (0.008518115544335264, 0.12732394812767786, 0.12732395447351652,
+                             0.12732396081935587, 0.13198391105861312),
     # np.tanh and math.tanh differ in the last ulp for some arguments
-    ("mz", 0.5, 5.0): (0.32842595536755415, 0.7215667382423439,
-                       0.7215667389653591, 0.7215667396883749, 0.9373813401389263),
+    ("mz", 0.5, 5.0): (0.328425955367587, 0.7215667382423442, 0.7215667389653599,
+                       0.7215667396883758, 0.9373813401389123),
 }
 
 

@@ -7,8 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from benfordxy import quadrature, xy_model
-from benfordxy.quadrature import integrate
+from benfordxy import xy_model
 from benfordxy.xy_model import (
     ModelParams,
     ObservableCurve,
@@ -312,8 +311,9 @@ def test_mode_sum_is_numpy_row_sum():
 
 def test_joint_curve_rows_match_single_curves():
     # One pass for several kinds gives each row the bits of its own curve,
-    # at finite N (one Lambda per mode) and at N = inf (one quadrature per
-    # term), for a field array of any shape.
+    # for a field array of any shape: one Lambda per mode, the momenta at
+    # finite N and the nodes of one rule at N = inf (every |r| <= 5 shares
+    # the rule).
     lams = np.linspace(0.3, 1.7, 24).reshape(4, 6)
     kinds = tuple(ObservableKind.parse(name) for name in ("mz", "txx", "tzz", "g:2", "tyy"))
     for size in (14, 40, None):
@@ -363,68 +363,21 @@ def test_finite_sum_restores_ufunc_buffer(monkeypatch):
     assert np.getbufsize() == before
 
 
-def test_thermodynamic_limit_keeps_reference_bits():
-    # At N = inf the quadrature nodes are the modes; the integrand is the
-    # reference expression, and one batched integral gives each field's bits.
-    lams = np.array([0.3, 1.0, 1.7])
-    gamma = 0.5
-
-    def reference(num_of):
-        def at_nodes(entries):
-            row, nodes, at = entries
-            phi = nodes[at]
-            lam = lams[row]
-            s = gamma * np.sin(phi)
-            c = lam - np.cos(phi)
-            energy = np.sqrt(s * s + c * c)
-            num = num_of(phi, lam)
-            return np.where(energy == 0.0, 0.0, num / np.where(energy == 0.0, 1.0, energy))
-
-        return integrate(at_nodes, 0.0, math.pi, tol=xy_model.QUAD_TOL, rows=lams.size) / math.pi
-
-    want_mz = -reference(lambda phi, lam: np.cos(phi) - lam)
-    want_txx = reference(lambda phi, lam: gamma * np.sin(-phi) * np.sin(phi)
-                         - np.cos(-phi) * (np.cos(phi) - lam))
-    assert mz_curve(lams, gamma).tobytes() == want_mz.tobytes()
-    assert correlator_curve(-1, lams, gamma).tobytes() == want_txx.tobytes()
-
-
-def test_thermodynamic_limit_shares_mode_constants(monkeypatch):
-    # The rows of a batch share the quadrature's nodes, so the mode
-    # constants are computed once per distinct node of a level and gathered
-    # per (row, node) entry: far fewer nodes than entries reach _Modes.at.
-    nodes, entries = [], []
-    real_at, real_integrate = xy_model._Modes.at, xy_model.integrate
-
-    def counted_at(phi, gamma, offsets):
-        nodes.append(np.size(phi))
-        return real_at(phi, gamma, offsets)
-
-    def counted_integrate(f, *args, **kwargs):
-        def g(level):
-            entries.append(np.size(level[0]))
-            return f(level)
-
-        return real_integrate(g, *args, **kwargs)
-
-    monkeypatch.setattr(xy_model._Modes, "at", staticmethod(counted_at))
-    monkeypatch.setattr(xy_model, "integrate", counted_integrate)
-    mz_curve(np.linspace(0.8, 1.2, 200), 0.5)
-    assert len(nodes) == len(entries) > 1
-    assert 20 * sum(nodes) < sum(entries)
-
-
 def test_thermodynamic_limit_rows_do_not_depend_on_batch(monkeypatch):
-    # A row's integral is a function of its own integrand only, however
-    # many rows share its batch and its levels' node tables.
-    lams = np.linspace(0.9, 1.1, 20)
+    # At N = inf every field is a column of one mode sum over the nodes of
+    # a fixed rule, so its bits depend neither on the other fields of the
+    # call nor on the chunk width.
+    lams = np.linspace(0.9, 1.1, 40)
     curves = (ObservableCurve(ObservableKind("tzz"), 0.5),
               ObservableCurve((ObservableKind("mz"), ObservableKind("txx")), 0.5))
-    got = []
-    for batch in (1, 7, 256):
-        monkeypatch.setattr(quadrature, "ROWS_PER_BATCH", batch)
-        got.append([curve(lams).tobytes() for curve in curves])
-    assert got[0] == got[1] == got[2]
+    for curve in curves:
+        want = curve(lams).tobytes()
+        for budget in (1024, SHIPPED_WORK_ELEMENTS):
+            monkeypatch.setattr(xy_model, "WORK_ELEMENTS", budget)
+            for batch in (1, 7, lams.size):
+                got = np.concatenate([curve(lams[start : start + batch])
+                                      for start in range(0, lams.size, batch)], axis=-1)
+                assert got.tobytes() == want, (curve.label, budget, batch)
 
 
 def test_curve_is_picklable():
