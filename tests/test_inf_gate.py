@@ -49,9 +49,9 @@ def reference_profiles() -> dict:
     """The gate's profiles from the code as it stands, in the file's layout."""
     curve = ObservableCurve(tuple(map(ObservableKind, OBSERVABLES)), GAMMA)
     parts = profile_set(curve, SPEC, KS, [DISTANCES] * len(OBSERVABLES))
-    out = {"gamma": GAMMA, "spec": [SPEC.a, SPEC.b, SPEC.w, SPEC.epsilon, SPEC.n]}
+    out = {"gamma": GAMMA, "spec": [SPEC.a, SPEC.b, SPEC.w, SPEC.epsilon, SPEC.n],
+           "lambdas": parts[0][(KS[0], DISTANCES[0])].lambdas.tolist()}
     for name, profiles in zip(OBSERVABLES, parts):
-        out["lambdas"] = next(iter(profiles.values())).lambdas.tolist()
         out[name] = {
             f"{k},{d}": {"deltas": prof.deltas.tolist(), "lambda_c": _lambda_c(prof.points)}
             for (k, d), prof in profiles.items()
