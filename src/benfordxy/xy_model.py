@@ -384,7 +384,10 @@ def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     (len(kinds),) + lams.shape.  Every term they need is one mean of
     `_momentum_mean`, so all kinds share one Lambda per (lam, mode): M_z
     is minus the M_z mean, G(r) the mean of the r term, T_xx = G(-1),
-    T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1)."""
+    T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1); at N = inf, kinds on
+    different rules take one pass each, as their single curves do."""
+    if size is None and len({_rule_width(gamma, _layout((kind,))[1]) for kind in kinds}) > 1:
+        return np.stack([_curves((kind,), lams, gamma, beta_tilde)[0] for kind in kinds])
     with_mz, offsets, rows = _layout(kinds)
     means = _momentum_mean(lams, size, gamma, beta_tilde, with_mz, offsets)
     if with_mz:
@@ -464,11 +467,10 @@ class ObservableCurve:
     forms used here are zero-temperature only).
 
     kind may also be a tuple of kinds, a joint curve: a call then returns
-    one row per kind, shape (len(kind),) + lams.shape, every row from one
-    momentum pass.  `kinds` and `parts` are tuples for every curve: its
-    kinds, and the single-kind curve of each (the curve itself for one
-    kind).  At N = inf a joint curve uses the rule of its largest |r|, which
-    every |r| <= 5 shares, so that its rows keep the single curves' bits.
+    one row per kind, shape (len(kind),) + lams.shape, with the bits of its
+    single curve, all from one momentum pass (at N = inf, one per rule).
+    `kinds` and `parts` are tuples for every curve: its kinds, and the
+    single-kind curve of each (the curve itself for one kind).
     An N = inf curve whose rule needs more than `quadrature.MAX_NODES` nodes
     (|gamma| below about 4e-4, or |r| above about 5e3) raises
     `quadrature.QuadratureError` when it is constructed.

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benfordxy import benford
@@ -129,29 +129,30 @@ def test_decimal_string_parity():
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_scale_invariance_property(x, j, k, sign):
     v = sign * x
-    # The product v * 10.0**j is rounded, and keys follow the stored double
-    # (1e23 keys as 9): within a few ulps of a k-digit key boundary the
-    # product may key on the other side of it (1.0 * 10.0**-6 is
-    # 9.99...95e-07 and keys as 9).  Away from the boundaries every key is
-    # invariant under a decade shift.
-    assume(1e-9 < _cell_position(v, k) < 1.0 - 1e-9)
-    assert (
-        benford.significant_digits(v, k).value
-        == benford.significant_digits(v * 10.0**j, k).value
-    )
+    shifted = v * 10.0**j
+    key, shifted_key = (benford.significant_digits(y, k).value for y in (v, shifted))
+    if key == shifted_key:
+        return
+    # Only the rounding of the product may change the key, and only across
+    # the k-digit boundary next to the exact shift, into the neighbouring
+    # cell (1.0 * 10.0**-6 is 9.99...95e-07, which keys as 9 like 1e23).
+    exact = Fraction(v) * Fraction(10) ** j
+    assert Fraction(shifted) != exact
+    assert _boundary_distance(exact, k) <= 2 * math.ulp(shifted)
+    cells = 9 * 10 ** (k - 1)
+    assert (key - shifted_key) % cells in (1, cells - 1)
 
 
-def _cell_position(x: float, k: int) -> Fraction:
-    """Where the exact value of the double x lies in its k-digit key cell,
-    from 0 (at the cell's lower boundary) to 1."""
-    q = abs(Fraction(x))
+def _boundary_distance(q: Fraction, k: int) -> Fraction:
+    """How far q lies from the nearest k-digit decimal boundary."""
+    q = abs(q)
     e = math.floor(math.log10(q))  # the decade, corrected exactly below
     while Fraction(10) ** e > q:
         e -= 1
     while Fraction(10) ** (e + 1) <= q:
         e += 1
-    scaled = q / Fraction(10) ** (e - k + 1)
-    return scaled - math.floor(scaled)
+    unit = Fraction(10) ** (e - k + 1)
+    return abs(q / unit - round(q / unit)) * unit
 
 
 def test_representation_boundary_keys_stored_digits():
