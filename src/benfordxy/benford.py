@@ -13,6 +13,11 @@ sample count.  Extraction is exponent arithmetic: the decade e of |x|
 follows the stored double (1e23 keys as 9), and |x| * 10^(k-1-e) is
 rounded once before the floor, which can lift a double just below a
 k-digit decimal onto it (0.7 keys as 7, and 0.123 as 1230 at depth 4).
+
+`digit_keys` takes a fast path, trusting floor(log10) for the decade, and
+sends the values it cannot settle to the exact path (`_exact_keys`), which
+checks every decade against the boundary doubles.  Invariant: the fast
+path's keys equal the exact path's on every nonzero finite double.
 """
 
 from __future__ import annotations
@@ -49,6 +54,16 @@ def _pow10_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _POW10, _POW10_BELOW = _pow10_tables()
+
+# Per depth k, the products the fast path of `digit_keys` keys by floor:
+# those strictly between the double above 10**(k-1) and the one below
+# 10**k.  A value whose decade floor(log10) misjudges by one (or a
+# boundary double below its power of ten, like 1e-197) scales to within
+# an ulp of one of those powers or beyond, at every decade down to the
+# lifted 1e-290, so it never passes (checked decade by decade in
+# tests/test_benford.py).
+_FAST_BOUNDS = {k: (np.nextafter(10.0 ** (k - 1), math.inf), np.nextafter(10.0**k, 0.0))
+                for k in range(1, MAX_DEPTH + 1)}
 
 
 def _pow10(p: np.ndarray) -> np.ndarray:
@@ -103,20 +118,52 @@ class DigitKey:
 
 def digit_keys(values, k: int) -> np.ndarray:
     """Vectorized digit extraction: int64 key per nonzero finite value, in
-    the shape of values (a numpy integer for a scalar)."""
+    the shape of values (a numpy integer for a scalar).
+
+    Fast path: the decade e from floor(log10), one correctly rounded
+    multiply by 10**(k-1-e) and a floor.  A value whose product lands
+    within an ulp of the key range's ends, or outside it, or that needs a
+    negative power (|x| >= 10**k) is keyed by `_exact_keys` instead: only
+    there can the decade be one off, or the product round twice.
+    """
     _check_depth(k)
+    if not np.ndim(values):  # a scalar is keyed as a 1-element array
+        return digit_keys(np.reshape(values, 1), k)[0]
+    ax = _magnitudes(values)
+    scaled = np.log10(ax)
+    np.floor(scaled, out=scaled)
+    index = scaled.astype(np.intp)
+    np.subtract(_POW_RANGE + k - 1, index, out=index)  # where 10**(k-1-e) is
+    np.take(_POW10, index, out=scaled, mode="clip")  # index is always in range
+    scaled *= ax
+    keys = scaled.astype(np.int64)
+    low, high = _FAST_BOUNDS[k]
+    slow = scaled <= low
+    slow |= scaled >= high
+    slow |= index < _POW_RANGE
+    if slow.any():
+        keys[slow] = _exact_keys(ax[slow], k)
+    return keys
+
+
+def _magnitudes(values) -> np.ndarray:
+    """|values| as a new float array, near-denormals lifted by 1e300 so the
+    10**(k-1-e) scale factor stays finite; zeros, infs and NaNs refused."""
     ax = np.abs(np.asarray(values, dtype=float))
-    if not ax.ndim:  # a scalar is keyed as a 1-element array
-        return digit_keys(ax.reshape(1), k)[0]
     if ax.size:
         # a NaN makes the minimum NaN, which fails the test as 0 does
         smallest, largest = ax.min(), ax.max()
         if not (smallest > 0.0 and largest < math.inf):
             raise ValueError("digit extraction requires nonzero finite values")
         if smallest < 1e-290:
-            # lift near-denormals so the 10**(k-1-e) scale factor stays finite
             tiny = ax < 1e-290
             ax[tiny] *= 1e300
+    return ax
+
+
+def _exact_keys(ax: np.ndarray, k: int) -> np.ndarray:
+    """Keys of magnitudes from `_magnitudes`, the decade checked against the
+    boundary doubles and every power applied in one rounding."""
     exp = np.floor(np.log10(ax)).astype(np.int64)
     # floor(log10) lands one decade off when the value sits within an ulp
     # of a decade boundary; verify against the boundary doubles.  low is
@@ -213,23 +260,32 @@ def observed_table(data, k: int) -> FrequencyTable:
     return FrequencyTable(k, counts, float(counts.sum()))
 
 
+_TEN_ONES = np.ones(10)
+
+
 def key_histograms(nonzero, ks) -> dict[int, np.ndarray]:
     """Key counts at each depth in ks from one key pass at the deepest depth
-    K: key_k = key_K // 10^(K-k), so runs of 10^(K-k) bins sum exactly."""
+    K: key_k = key_K // 10^(K-k), so each depth sums runs of 10 bins of the
+    next deeper one (a product with ones: the counts are integers, exact
+    in any order)."""
     _check_depth(min(ks))
     kmax = max(ks)
     lo, hi = key_bounds(kmax)
-    deepest = np.bincount(digit_keys(nonzero, kmax) - lo, minlength=hi - lo + 1)
-    deepest = deepest.astype(float)
-    return {k: deepest.reshape(9 * 10 ** (k - 1), -1).sum(axis=1) for k in ks}
+    counts = np.bincount(digit_keys(nonzero, kmax), minlength=hi + 1)[lo:].astype(float)
+    hists = {kmax: counts}
+    for k in range(kmax - 1, min(ks) - 1, -1):
+        hists[k] = counts = counts.reshape(-1, 10) @ _TEN_ONES
+    return {k: hists[k] for k in ks}
 
 
 def combo_distances(nonzero, combos) -> list[float]:
     """Distance of nonzero values from the Benford law for each (k, distance)
     combo, every depth from one `key_histograms` pass and one expected table
-    per depth."""
+    per depth (its total is the number of values, which every depth's
+    counts sum to)."""
     counts = key_histograms(nonzero, {k for k, _ in combos})
-    expected = {k: c.sum() * benford_probabilities(k) for k, c in counts.items()}
+    total = float(np.size(nonzero))
+    expected = {k: total * benford_probabilities(k) for k in counts}
     return [_RAW_DISTANCES[d](counts[k], expected[k]) for k, d in combos]
 
 
@@ -264,17 +320,22 @@ def delta_bd(observed: FrequencyTable, expected: FrequencyTable) -> float:
 
 
 def _delta_md(obs: np.ndarray, exp: np.ndarray) -> float:
-    return float(np.sum(np.abs(obs - exp) / exp))
+    dev = np.subtract(obs, exp, dtype=float)
+    np.abs(dev, out=dev)
+    dev /= exp
+    return float(dev.sum())
 
 
 def _delta_sd(obs: np.ndarray, exp: np.ndarray) -> float:
-    return float(np.sqrt(np.sum((obs - exp) ** 2)))
+    dev = np.subtract(obs, exp, dtype=float)
+    dev *= dev
+    return float(np.sqrt(dev.sum()))
 
 
 def _delta_bd(obs: np.ndarray, exp: np.ndarray) -> float:
     o = obs / obs.sum()
-    e = exp / exp.sum()
-    bc = float(np.sum(np.sqrt(o * e)))
+    o *= exp / exp.sum()
+    bc = float(np.sqrt(o, out=o).sum())
     return max(0.0, -math.log(bc))
 
 

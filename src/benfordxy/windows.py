@@ -104,7 +104,9 @@ def normalize(data) -> np.ndarray:
         raise ValueError("window has non-finite observable values")
     if not hi > lo:
         raise DegenerateWindowError("constant data has no min-max normalization")
-    return (arr - lo) / (hi - lo)
+    normed = np.subtract(arr, lo)
+    normed /= hi - lo
+    return normed
 
 
 def _window_deltas(observable, window, n: int, part_combos) -> list[float]:

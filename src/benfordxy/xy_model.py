@@ -17,9 +17,10 @@ the quasiparticle energy L = sqrt(s2 + d*d), s2 = (gamma sin phi)^2, the
 M_z term is [tanh(bt*L/2)] d/L (M_z is minus its mean) and the G(r) term
 is (a_r - b_r d)/L with a_r = gamma sin(r phi) sin phi and b_r =
 cos(r phi).  cos phi, s2, a_r and b_r depend only on the modes, so they
-are computed once per call, and every term of a call comes from one L per
-(field, mode).  At N = inf each term also carries its node's weight / pi.
-A term is 0 where L = 0.  That guard runs only when s2 = 0 at some mode
+are computed once per (size, gamma, offsets) at finite N and once per call
+at N = inf, and every term of a call comes from one L per (field, mode).
+|gamma| is at most MAX_GAMMA = 1e150, so s2 never overflows.  At N = inf
+each term also carries its node's weight / pi.  A term is 0 where L = 0.  That guard runs only when s2 = 0 at some mode
 (otherwise L >= sqrt(s2) > 0): as every quadrature node is inside (0, pi),
 only when s2 underflows, at finite N when (gamma sin(pi))^2 does, i.e.
 |gamma| below about 1e-146.
@@ -54,6 +55,16 @@ UFUNC_BUFFER = 16
 
 _OBSERVABLE_NAMES = ("mz", "txx", "tyy", "tzz", "g")
 
+#: largest |gamma| accepted: (gamma sin phi)^2 stays below 1e300, while
+#: above about 1.3e154 it overflows to inf and every term reads 0
+MAX_GAMMA = 1e150
+
+
+def _check_gamma_scale(gamma):
+    """Refuse |gamma| above MAX_GAMMA, also in direct kernel calls."""
+    if abs(gamma) > MAX_GAMMA:
+        raise ValueError(f"|gamma| must be at most {MAX_GAMMA:g}, got {gamma}")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -70,6 +81,7 @@ class ModelParams:
             raise ValueError(
                 f"gamma must be finite and nonzero (XX point is excluded), got {self.gamma}"
             )
+        _check_gamma_scale(self.gamma)
         if not self.beta_tilde > 0.0:
             raise ValueError("beta_tilde must be positive")
         if self.system_size is not None:
@@ -155,6 +167,16 @@ class _Modes:
         if weight is not None:
             a *= weight
         return cls(np.cos(phi), s2, not (s2 > 0.0).all(), a, np.cos(r * phi), weight)
+
+
+@functools.lru_cache(maxsize=16)
+def _momentum_modes(size: int, gamma, offsets: tuple) -> _Modes:
+    """Read-only `_Modes` at the momenta of a size-N chain, built once per
+    (size, gamma, offsets) rather than once per call."""
+    modes = _Modes.at(_momenta(size), gamma, offsets)
+    for arr in (modes.cos, modes.s2, modes.a, modes.b):
+        arr.flags.writeable = False
+    return modes
 
 
 def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
@@ -335,12 +357,13 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     None).  The means are stacked on a leading axis: shape (terms,) +
     lams.shape.
 
-    Both sizes compute the mode constants once per call, with the modes on
-    the leading axis, and sum the terms by `_chunked_mode_sums`.  At N = inf
-    the modes are the nodes of `quadrature.rule` on [0, pi], with panels at
-    most `_rule_width` wide, and each term carries its node's weight / pi;
-    the rule depends on gamma and the offsets alone, so no mean depends on
-    the other fields of the call.
+    Both sizes take the mode constants with the modes on the leading axis
+    (finite N from `_momentum_modes`, N = inf once per call) and sum the
+    terms by `_chunked_mode_sums`.  At N = inf the modes are the nodes of
+    `quadrature.rule` on [0, pi], with panels at most `_rule_width` wide,
+    and each term carries its node's weight / pi; the rule depends on
+    gamma and the offsets alone, so no mean depends on the other fields of
+    the call.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
@@ -354,7 +377,7 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
         width = _rule_width(gamma, offsets)
         out = integrate(weighted_sums, 0.0, math.pi, width, rows=flat.size)
     else:
-        out = _chunked_mode_sums(_Modes.at(_momenta(size), gamma, offsets), flat,
+        out = _chunked_mode_sums(_momentum_modes(size, gamma, offsets), flat,
                                  beta_tilde, with_mz)
         out *= 2.0 / size
     return out.reshape(out.shape[:1] + lams.shape)
@@ -386,6 +409,7 @@ def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     is minus the M_z mean, G(r) the mean of the r term, T_xx = G(-1),
     T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1); at N = inf, kinds on
     different rules take one pass each, as their single curves do."""
+    _check_gamma_scale(gamma)
     if size is None and len({_rule_width(gamma, _layout((kind,))[1]) for kind in kinds}) > 1:
         return np.stack([_curves((kind,), lams, gamma, beta_tilde)[0] for kind in kinds])
     with_mz, offsets, rows = _layout(kinds)

@@ -9,6 +9,7 @@ only the unit-test modules never triggers them.
 import time
 
 import pytest
+from hypothesis import Phase, example, settings
 
 from benfordxy import scaling as sc
 from benfordxy.cli import COARSE_EPSILON, COARSE_N, CONVERGED_N, SCALING_SIZES
@@ -19,6 +20,20 @@ SIZES = SCALING_SIZES
 COARSE_SPEC = WindowSpec(0.5, 1.5, 0.05, COARSE_EPSILON, COARSE_N)
 #: exponent-table columns: distances evaluated per observable
 TABLE_DISTANCES = {"mz": ("md", "sd", "bd"), "txx": ("md",)}
+
+
+def pinned_examples(cases):
+    """Run a @given test on cases (dicts of its arguments) alone, never on
+    generated data: hypothesis also draws literal constants harvested from
+    the loaded program modules, so generated examples move with unrelated
+    edits to the program."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(**case)(test)
+        return settings(phases=[Phase.explicit], deadline=None, database=None)(test)
+
+    return decorate
 
 
 def xy_curve(obs: str, size: int) -> ObservableCurve:

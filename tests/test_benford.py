@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from benfordxy import benford
+from conftest import pinned_examples
 
 
 def test_key_bounds():
@@ -68,6 +69,66 @@ def test_digit_keys_scalar_keeps_shape():
     assert benford.digit_keys(np.empty((0, 3)), 2).shape == (0, 3)
 
 
+def _decimal_neighbours(k: int) -> np.ndarray:
+    """Every k-digit decimal of the decades 1e-20..1 (the nearest double),
+    and the two doubles on each side of it."""
+    digits = range(10 ** (k - 1), 10**k)
+    dec = np.array([float(f"{m}e{j}") for j in range(-19 - k, 2 - k) for m in digits])
+    below = np.nextafter(dec, 0.0)
+    above = np.nextafter(dec, np.inf)
+    return np.concatenate([np.nextafter(below, 0.0), below, dec, above,
+                           np.nextafter(above, np.inf)])
+
+
+def test_fast_keys_equal_exact_keys():
+    # digit_keys settles most values on its fast path and hands the rest
+    # to the exact path; its keys must be the exact path's on every value
+    rng = np.random.default_rng(23)
+    bounds = benford._POW10[(benford._POW10 > 0.0) & (benford._POW10 < math.inf)]
+    near = [bounds]
+    down = up = bounds
+    for _ in range(2):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        near += [down, up]
+    log_uniform = 10.0 ** rng.uniform(-323.0, 308.25, 1_000_000)
+    common = np.concatenate([
+        *near,  # every decade boundary double and 2 ulps on each side
+        [1e23, 1e-5, 1e-197, 1e-243, 5e-324, 1.7976931348623157e308],
+        10.0 ** rng.uniform(-323.5, -290.0, 5000),  # near-denormals, lifted
+        10.0 ** rng.uniform(4.0, 308.25, 5000),  # at least 10**k at every k
+        log_uniform,
+    ])
+    common = common[common > 0.0]
+    common = np.concatenate([common, -common[::3]])
+    for k in (1, 2, 3, 4):
+        vals = np.concatenate([common, _decimal_neighbours(k)])
+        keys = benford.digit_keys(vals, k)
+        want = benford._exact_keys(benford._magnitudes(vals), k)
+        mismatched = np.flatnonzero(keys != want)
+        assert mismatched.size == 0, (k, vals[mismatched[:5]])
+
+
+def test_fast_bounds_catch_every_decade_slip():
+    # floor(log10) may put a value next to a decade boundary one decade
+    # off.  The fast path's product is monotone in the value, so if the
+    # nearest doubles on the far side of every boundary scale to outside
+    # the fast bounds, every misjudged value goes to the exact path.
+    # Lifted values are at least 1e-290, so decades from -291 up matter.
+    pow10, below, origin = benford._POW10, benford._POW10_BELOW, benford._POW_RANGE
+    for k in (1, 2, 3, 4):
+        low, high = benford._FAST_BOUNDS[k]
+        for a in range(-291, k + 1):  # decades whose misjudged power is >= 0
+            boundary = pow10[a + origin]
+            # stored in decade a, read as a - 1 (a boundary double below
+            # 10**a belongs to decade a - 1 and keys there either way)
+            first = np.nextafter(boundary, np.inf) if below[a + origin] else boundary
+            assert first * pow10[k - a + origin] >= high, (k, a)
+            if a <= k - 1:
+                # stored in decade a - 1, read as a
+                last = boundary if below[a + origin] else np.nextafter(boundary, 0.0)
+                assert last * pow10[k - 1 - a + origin] <= low, (k, a)
+
+
 def test_digit_keys_rejects_bad_values():
     with pytest.raises(ValueError):
         benford.digit_keys([1.0, 0.0], 1)
@@ -120,13 +181,47 @@ def test_decimal_string_parity():
     assert bad == 0
 
 
+def _scale_invariance_cases(count=300):
+    """Hand-picked decade shifts, then a seeded sample: half log-uniform x,
+    half short decimals (whose exact shifts must keep their key)."""
+    hand = [
+        (0.5, -6, 1, 1.0),  # 5e-07 is stored below 5e-7 and keys as 5
+        (1.0, -6, 1, 1.0),  # 1e-06 is stored below 1e-6 and keys as 9
+        (1.0, 0, 4, -1.0),
+        (1e4, 8, 4, 1.0),
+        (1e4, -8, 1, -1.0),
+        (math.nextafter(1e-4, 1.0), 8, 4, 1.0),
+        (math.nextafter(1e-4, 1.0), -8, 2, -1.0),
+        (0.7, 1, 1, 1.0),
+        (0.123, -3, 4, 1.0),
+        (0.17, -5, 2, 1.0),
+        (999.9999999999999, -1, 2, 1.0),  # the product rounds onto 100
+        (9999.999999999998, -4, 2, -1.0),
+        (9.999999999999998, 2, 3, 1.0),
+        (0.3, 8, 3, 1.0),
+        (2.0, -7, 1, -1.0),
+        (3.0, 7, 4, 1.0),
+    ]
+    hand += [(1.5, j, 1 + j % 4, 1.0) for j in range(-8, 9)]
+    rng = np.random.default_rng(2017)
+    n = count - len(hand)
+    x = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    x[::2] = [float(f"{v:.{d}g}") for v, d in zip(x[::2], rng.integers(1, 5, x[::2].size))]
+    x = np.clip(x, math.nextafter(1e-4, 1.0), 1e4)
+    j = rng.integers(-8, 9, n)
+    k = rng.integers(1, 5, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    cases = hand + list(zip(x.tolist(), j.tolist(), k.tolist(), sign.tolist()))
+    return [dict(x=x, j=j, k=k, sign=sign) for x, j, k, sign in cases]
+
+
+@pinned_examples(_scale_invariance_cases())
 @given(
     x=st.floats(min_value=1e-4, max_value=1e4, exclude_min=True),
     j=st.integers(min_value=-8, max_value=8),
     k=st.integers(min_value=1, max_value=4),
     sign=st.sampled_from([-1.0, 1.0]),
 )
-@settings(max_examples=300, deadline=None, derandomize=True)
 def test_scale_invariance_property(x, j, k, sign):
     v = sign * x
     shifted = v * 10.0**j

@@ -54,6 +54,11 @@ def run(argv, capsys):
         ["scaling", "--observable", "g:8", "--n-sites", "20,18,14"],
         ["profile", "--n-sites", "14", "--gamma", "nan"],
         ["observables", "--n-sites", "14", "--gamma", "nan"],
+        ["observables", "--n-sites", "14", "--gamma", "1e160"],
+        ["observables", "--n-sites", "inf", "--gamma=-1e200"],
+        ["profile", "--n-sites", "40", "--gamma", "1e151"],
+        ["profile", "--n-sites", "inf", "--gamma", "1e160"],
+        ["table1", "--gamma=-1e160", "--n-sites", "14,16,18"],
         ["profile", "--epsilon", "1e-9"],
         ["table1", "--epsilon", "1e-9", "--n-sites", "14,16,18"],
     ],

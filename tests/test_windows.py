@@ -5,14 +5,14 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from benfordxy import benford
 from benfordxy import windows as W
 from benfordxy.xy_model import ObservableCurve, ObservableKind
 
-from conftest import COARSE_SPEC, xy_curve
+from conftest import COARSE_SPEC, pinned_examples, xy_curve
 
 
 def _pow_curve(lams):
@@ -62,13 +62,33 @@ def test_window_counts_presets():
     assert full.count == 19001
 
 
+def _window_count_cases(count=200):
+    """Every corner of the domain, a few hand-picked geometries, then a
+    seeded uniform sample."""
+    corners = [(a, w, e, s) for a in (-5.0, 5.0) for w in (0.01, 1.0)
+               for e in (0.05, 0.95) for s in (2.01, 6.0)]
+    hand = corners + [
+        (0.0, 0.05, 0.5, 2.01),
+        (-0.0, 0.1, 0.1, 3.0),
+        (0.5, 0.05, 0.05, 6.0),  # the coarse preset's a and w
+        (1.0, 0.3, 1.0 / 3.0, 4.0),
+        (-1.1, 0.07, 0.7, 5.5),
+    ]
+    rng = np.random.default_rng(2017)
+    n = count - len(hand)
+    sample = zip(rng.uniform(-5.0, 5.0, n), rng.uniform(0.01, 1.0, n),
+                 rng.uniform(0.05, 0.95, n), rng.uniform(2.01, 6.0, n))
+    cases = hand + [tuple(map(float, case)) for case in sample]
+    return [dict(a=a, w=w, eps_frac=e, span_factor=s) for a, w, e, s in cases]
+
+
+@pinned_examples(_window_count_cases())
 @given(
     a=st.floats(-5.0, 5.0),
     w=st.floats(0.01, 1.0),
     eps_frac=st.floats(0.05, 0.95),
     span_factor=st.floats(2.01, 6.0),
 )
-@settings(max_examples=200, deadline=None, derandomize=True)
 def test_window_count_property(a, w, eps_frac, span_factor):
     spec = W.WindowSpec(a, a + span_factor * w, w, eps_frac * w, 100)
     wins = W.windows(spec)

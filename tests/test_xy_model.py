@@ -39,6 +39,44 @@ def test_params_validation():
     ModelParams(1.0, -0.5)  # negative anisotropy is allowed
 
 
+@pytest.mark.parametrize("size", (40, None))
+def test_gamma_beyond_the_squared_range_is_refused(size):
+    # above |gamma| ~ 1.3e154, (gamma sin phi)^2 overflows to inf and every
+    # term reads 0: T_xx came out 0 (or -5.6e-13) instead of about -2/pi
+    txx = ObservableKind("txx")
+    for gamma in (1e160, -1e200, 1.0000000000000002e150):
+        with pytest.raises(ValueError, match="gamma"):
+            ModelParams(0.5, gamma, system_size=size)
+        with pytest.raises(ValueError, match="gamma"):
+            ObservableCurve(txx, gamma, size=size)
+        with pytest.raises(ValueError, match="gamma"):
+            correlator_curve(-1, [0.5], gamma, size)
+    # at the largest accepted |gamma| the G(-1) term is -sign(gamma) sin(phi)
+    # but within 1e-150 of phi = pi (at finite N, the double sin(pi) keeps
+    # the phi = pi mode from being that exception)
+    for gamma in (xy_model.MAX_GAMMA, -xy_model.MAX_GAMMA):
+        ModelParams(0.5, gamma, system_size=size)
+        value = -math.copysign(1.0, gamma) * ObservableCurve(txx, gamma, size=size)([0.5])[0]
+        if size is None:
+            assert abs(value - 2.0 / math.pi) < 1e-12
+        else:
+            phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+            assert abs(value - 2.0 / size * np.sin(phi).sum()) < 1e-12
+
+
+def test_mode_constants_are_built_once_per_size_and_gamma():
+    xy_model._momentum_modes.cache_clear()
+    curve = ObservableCurve(ObservableKind("mz"), 0.37, size=24)
+    first = curve(np.linspace(0.5, 1.5, 11))
+    for lams in (np.linspace(0.5, 1.5, 11), np.linspace(0.9, 1.1, 300)):
+        curve(lams)
+    info = xy_model._momentum_modes.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    modes = xy_model._momentum_modes(24, 0.37, ())
+    assert not any(arr.flags.writeable for arr in (modes.cos, modes.s2, modes.a, modes.b))
+    assert np.array_equal(curve(np.linspace(0.5, 1.5, 11)), first)
+
+
 def test_dispersion_identities():
     # Lambda(0) = |lam - 1| and the gap closes exactly at lam = 1.
     for lam in (0.3, 1.0, 1.7):
