@@ -139,6 +139,10 @@ def digit_keys(values, k: int) -> np.ndarray:
     keys = scaled.astype(np.int64)
     low, high = _FAST_BOUNDS[k]
     slow = scaled <= low
+    # but 1.0, the maximum of every min-max normalized window: log10(1) is
+    # exactly 0 (C99 Annex F), so its decade is right and its product is
+    # exactly 10**(k-1)
+    slow &= ax != 1.0
     slow |= scaled >= high
     slow |= index < _POW_RANGE
     if slow.any():

@@ -93,7 +93,7 @@ def test_fast_keys_equal_exact_keys():
     log_uniform = 10.0 ** rng.uniform(-323.0, 308.25, 1_000_000)
     common = np.concatenate([
         *near,  # every decade boundary double and 2 ulps on each side
-        [1e23, 1e-5, 1e-197, 1e-243, 5e-324, 1.7976931348623157e308],
+        [1.0, 1e23, 1e-5, 1e-197, 1e-243, 5e-324, 1.7976931348623157e308],
         10.0 ** rng.uniform(-323.5, -290.0, 5000),  # near-denormals, lifted
         10.0 ** rng.uniform(4.0, 308.25, 5000),  # at least 10**k at every k
         log_uniform,
