@@ -20,10 +20,17 @@ cos(r phi).  cos phi, s2, a_r and b_r depend only on the modes, so they
 are computed once per (size, gamma, offsets) at finite N and once per call
 at N = inf, and every term of a call comes from one L per (field, mode).
 |gamma| is at most MAX_GAMMA = 1e150, so s2 never overflows.  At N = inf
-each term also carries its node's weight / pi.  A term is 0 where L = 0.  That guard runs only when s2 = 0 at some mode
-(otherwise L >= sqrt(s2) > 0): as every quadrature node is inside (0, pi),
-only when s2 underflows, at finite N when (gamma sin(pi))^2 does, i.e.
-|gamma| below about 1e-146.
+each term also carries its node's weight / pi.  A term is 0 where L = 0.
+That guard runs only when s2 = 0 at some mode (otherwise L >= sqrt(s2) >
+0): as every quadrature node is inside (0, pi), only when s2 underflows,
+at finite N when (gamma sin(pi))^2 does, i.e. |gamma| below about 1e-146.
+
+The mode sum adds each field's terms in an order set by the mode count m
+alone: a halving fold per slab of at most SLAB modes, the slab sums added
+in turn to +0.0.  So no value depends on the other fields of a call, and
+its rounding error is at most (ceil(log2 min(m, SLAB)) + ceil(m/SLAB) - 1)
+u sum|term| to first order, u = 2^-53 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, sec. 4.2).
 """
 
 from __future__ import annotations
@@ -37,17 +44,16 @@ import numpy as np
 
 from .quadrature import integrate, rule_size
 
-#: numpy's float add.reduce (its pairwise_sum): 8 accumulators over leaves
-#: of at most 128 elements, split in halves rounded down to a multiple of 8
-PAIRWISE_UNROLL = 8
-PAIRWISE_LEAF = 128
-#: most float64 work elements of one finite-N call (1 MiB): the fields
-#: are split into equal chunks as wide as this allows; no value depends on
-#: it, since each field's column is summed on its own.  Against 384 KiB it
-#: cut a 1e4-field call by 10-25 % at N = 4..1000 (fewer numpy calls per
-#: field); 1.5 MiB was no faster on a core with 2 MiB of L2
+#: most modes of a slab, whose terms are evaluated and folded at once: a
+#: chain of N <= 128 sites is one slab, the N = inf rule at gamma = 0.5 21
+SLAB = 64
+#: most float64 work elements of one mode sum (1 MiB): the fields are split
+#: into equal chunks as wide as this allows; no value depends on it, since
+#: each field's column is summed on its own.  Against 384 KiB it cut a
+#: 1e4-field call by 10-25 % at N = 4..1000 (fewer numpy calls per field);
+#: 1.5 MiB was no faster on a core with 2 MiB of L2
 WORK_ELEMENTS = 131072
-#: numpy's ufunc buffer, in elements, during a finite-N sum: below a
+#: numpy's ufunc buffer, in elements, during a mode sum: below a
 #: chunk's width, so a ufunc over a (modes, fields) block with a per-mode
 #: (modes, 1) operand loops over the rows in place; with the default 8192
 #: it copies rows narrower than that through its buffer, 3 times slower
@@ -179,8 +185,7 @@ def _momentum_modes(size: int, gamma, offsets: tuple) -> _Modes:
     return modes
 
 
-def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
-           work=(None, None, None)):
+def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows, work):
     """The momentum-sum terms at the fields lam and the modes rows, stacked
     on a leading axis: the M_z term [tanh(bt*L/2)] (cos phi - lam)/L if
     with_mz (without M_z's minus sign; the tanh factor is exactly 1 at
@@ -190,13 +195,11 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
 
     Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
     where L is 0 (only when modes.guard).  work holds the d, L and terms
-    arrays, or None to allocate them.
+    arrays they are written into; the terms are returned.
     """
     d_out, energy_out, out = work
     d = np.subtract(modes.cos[rows], lam, out=d_out)
     energy = _energy(d, modes.s2[rows], out=energy_out)
-    if out is None:
-        out = np.empty((with_mz + len(modes.b),) + d.shape)
     zero = None
     if modes.guard:
         zero = energy == 0.0
@@ -221,123 +224,47 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows=slice(None),
     return out
 
 
-def _pairwise_steps(lo, n, into, level, steps):
-    """Append numpy's pairwise_sum recursion over elements lo..lo+n-1 to
-    steps: (lo, n, into) sums a leaf of at most PAIRWISE_LEAF into sum
-    `into`; (None, src, into) adds sum src into sum `into`.  Sum 0 is the
-    result, sum 1 + level holds a second half at that depth."""
-    if n <= PAIRWISE_LEAF:
-        steps.append((lo, n, into))
-        return
-    half = n // 2
-    half -= half % PAIRWISE_UNROLL
-    _pairwise_steps(lo, half, into, level, steps)
-    _pairwise_steps(lo + half, n - half, 1 + level, level + 1, steps)
-    steps.append((None, 1 + level, into))
+def _fold(t):
+    """Sum t (terms, m, F) over its modes (axis 1) in place by halving: while
+    m > 1, the last h = m // 2 modes are added onto the first h, and m
+    becomes m - h.  Returns the sums (terms, F), t's first mode."""
+    m = t.shape[1]
+    while m > 1:
+        h = m // 2
+        t[:, :h] += t[:, m - h : m]
+        m -= h
+    return t[:, 0]
 
 
-@functools.cache
-def _pairwise_plan(count: int) -> tuple[tuple, int]:
-    """The steps of a pairwise sum of count elements, and the number of
-    partial sums it holds beside its result."""
-    steps = []
-    _pairwise_steps(0, count, 0, 0, steps)
-    return tuple(steps), max(into for _, _, into in steps)
-
-
-def _group(count: int) -> int:
-    """Modes evaluated at once in a sum over count modes: one 8-mode group
-    of numpy's pairwise_sum, or every mode when there are fewer."""
-    return min(count, PAIRWISE_UNROLL)
-
-
-def _sum_rows(count: int, terms: int) -> int:
-    """Rows of work `_pairwise_mode_sum` uses for count modes and terms: per
-    term, the plan's partial sums, one group of accumulators and, once a
-    leaf holds two 8-mode groups (16 modes or more), a group for the later
-    ones."""
-    blocks = 1 + (count >= 2 * PAIRWISE_UNROLL)
-    return terms * (blocks * _group(count) + _pairwise_plan(count)[1])
-
-
-def _work_rows(count: int, terms: int) -> int:
-    """Rows of a finite-N call's work block: d and Lambda of one group of
-    modes, and the rows of `_pairwise_mode_sum`."""
-    return 2 * _group(count) + _sum_rows(count, terms)
-
-
-def _pairwise_mode_sum(count, evaluate, work, dest):
-    """Sum each term over count modes into dest (terms, F), one column per
-    field, adding in the order of numpy's float add.reduce along a row, so
-    each column has the bits of x.sum(axis=1) over that field's terms.
-
-    evaluate(lo, hi, out) writes the terms of modes lo..hi-1 into out
-    (terms, hi - lo, F) and returns it.  It is asked for groups of 8 modes
-    and then for a leaf's leftover modes, leaf by leaf of numpy's
-    pairwise_sum: a leaf of n >= 8 modes adds its groups into 8
-    accumulators, folds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)) and adds the rest one mode at a time; fewer than 8 modes
-    are added one at a time.  Every step adds all terms in one call.  The
-    sum starts from +0.0, as numpy's does, so -0.0 terms sum to +0.0.
-    work holds `_sum_rows` rows of F columns.
-    """
-    terms, cols = dest.shape
-    unroll = PAIRWISE_UNROLL
-    steps, partials = _pairwise_plan(count)
-    sums = [dest, *work[: partials * terms].reshape(partials, terms, cols)]
-    blocks = work[partials * terms : _sum_rows(count, terms)]
-    acc, *later = blocks.reshape(-1, terms, _group(count), cols)
-    for lo, n, into in steps:
-        total = sums[into]
-        if lo is None:
-            total += sums[n]
-            continue
-        full, stop = lo + n - n % unroll, lo + n
-        if full > lo:
-            evaluate(lo, lo + unroll, acc)
-            for start in range(lo + unroll, full, unroll):
-                acc += evaluate(start, start + unroll, *later)
-            # fold in place: the pairs in rows 0, 2, 4, 6, the quads in 0, 4
-            np.add(acc[:, 0::2], acc[:, 1::2], out=acc[:, 0::2])
-            np.add(acc[:, 0::4], acc[:, 2::4], out=acc[:, 0::4])
-            np.add(acc[:, 0], acc[:, 4], out=total)
-        if stop > full:
-            rest = evaluate(full, stop, acc[:, : stop - full])
-            if full == lo:
-                np.copyto(total, rest[:, 0])
-            for i in range(full == lo, stop - full):
-                total += rest[:, i]
-    dest += 0.0
+def _block_rows(count: int, terms: int) -> int:
+    """Work rows of a sum over count modes: d, Lambda and terms of a slab."""
+    return (2 + terms) * min(count, SLAB)
 
 
 def _chunked_mode_sums(modes, lams, beta_tilde, with_mz) -> np.ndarray:
     """Each `_terms` term summed over the modes at the 1-D fields lams, shape
-    (terms, lams.size), each with the bits of a row sum over its own field's
-    terms: one field's column by numpy itself, more fields by
-    `_pairwise_mode_sum` over equal chunks of lams as wide as WORK_ELEMENTS
-    allows, through one work block of `_work_rows` rows allocated once."""
+    (terms, lams.size).  The fields are split into equal chunks as wide as
+    WORK_ELEMENTS allows, and each chunk's modes into slabs of at most SLAB:
+    each slab's terms are summed by `_fold` and added to a total that
+    starts at +0.0, slab after slab (so -0.0 terms sum to +0.0).  Every
+    field's column is summed on its own, in an order set by the mode count
+    alone, through one work block allocated once."""
+    terms = with_mz + len(modes.b)
     count = len(modes.cos)
-    if lams.size == 1:  # one field: its column over the modes is the row numpy sums
-        return _terms(modes, lams, beta_tilde, with_mz)[:, :, 0].sum(axis=1, keepdims=True)
-    out = np.empty((with_mz + len(modes.b), lams.size))
-    group = _group(count)
-    rows = _work_rows(count, out.shape[0])
-    chunks = max(1, -(-lams.size // (WORK_ELEMENTS // rows)))
+    out = np.zeros((terms, lams.size))
+    slab = min(count, SLAB)
+    chunks = max(1, -(-lams.size // (WORK_ELEMENTS // _block_rows(count, terms))))
     cols = max(1, -(-lams.size // chunks))
-    block = np.empty((rows, cols))  # the work arrays of every chunk
+    block = np.empty((2 + terms, slab, cols))  # d, Lambda, then the terms
     buffer = np.setbufsize(UFUNC_BUFFER)
     try:
         for start in range(0, lams.size, cols):
             stop = min(start + cols, lams.size)
-            lam = lams[None, start:stop]
-            w = block[:, : stop - start]
-            d, energy = w[:group], w[group : 2 * group]
-
-            def evaluate(lo, hi, terms):
-                work = d[: hi - lo], energy[: hi - lo], terms
-                return _terms(modes, lam, beta_tilde, with_mz, slice(lo, hi), work)
-
-            _pairwise_mode_sum(count, evaluate, w[2 * group :], out[:, start:stop])
+            lam, total, w = lams[None, start:stop], out[:, start:stop], block[..., : stop - start]
+            for lo in range(0, count, slab):
+                m = min(slab, count - lo)
+                work = w[0, :m], w[1, :m], w[2:, :m]
+                total += _fold(_terms(modes, lam, beta_tilde, with_mz, slice(lo, lo + m), work))
     finally:
         np.setbufsize(buffer)
     return out

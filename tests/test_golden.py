@@ -71,58 +71,62 @@ GOLDEN = {
 # across lambda_c = 1: {(observable, gamma, beta_tilde): values at
 # INF_LAMS}.  They replaced the adaptive Simpson values (moved by at most
 # 6.7e-13; each is within 3.1e-15 of a 30-digit mpmath quadrature) with the
-# N = inf gate of tests/test_inf_gate.py passing.  Ground-state values must
-# match exactly.
+# N = inf gate of tests/test_inf_gate.py passing.  When the mode sum took
+# its own order (a halving fold per slab) in place of numpy's pairwise one,
+# 46 of the 55 moved, by at most 5.6e-16, with both gate slices passing.
+# Ground-state values must match exactly.
 INF_LAMS = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5)
 INF_VALUES = {
-    ("mz", 0.5, math.inf): (0.2966569170938958, 0.7698003459220102, 0.7698003589195023,
-                            0.7698003719169955, 0.9613263294091249),
-    ("txx", 0.5, math.inf): (-0.885869584235865, -0.4688067235943331, -0.46880671042902816,
-                             -0.46880669726372187, -0.194331595129035),
-    ("tyy", 0.5, math.inf): (-0.12370427366470686, 0.1331805740578672, 0.13318058655191994,
-                             0.1331805990459739, 0.16565829216743305),
-    ("tzz", 0.5, math.inf): (-0.021580527019898973, 0.6550285211521277, 0.6550285452670086,
-                             0.6550285693818916, 0.9563409517784702),
-    ("g:2", 0.5, math.inf): (-0.03927853547302356, 0.09854809897757588, 0.09854811116528564,
-                             0.09854812335299662, 0.07563337803787576),
-    ("mz", 1.0, math.inf): (0.25865790461134214, 0.6366197654275652, 0.6366197723675824,
-                            0.6366197793076003, 0.8773282152447561),
-    ("txx", 1.0, math.inf): (-0.9342154576676958, -0.6366197793075996, -0.6366197723675824,
-                             -0.6366197654275645, -0.35593389866906333),
-    ("tyy", 1.0, math.inf): (0.033472053592557574, 0.21220658427359018, 0.21220659078919418,
-                             0.21220659730479874, 0.27127901833020385),
-    ("tzz", 1.0, math.inf): (0.09817402148397897, 0.5403796345809206, 0.5403796460924699,
-                             0.5403796576040203, 0.8662621958859349),
-    ("g:2", 1.0, math.inf): (0.008518115544335264, 0.12732394812767786, 0.12732395447351652,
-                             0.12732396081935587, 0.13198391105861312),
+    ("mz", 0.5, math.inf): (0.29665691709389574, 0.7698003459220102, 0.7698003589195022,
+                            0.7698003719169951, 0.9613263294091248),
+    ("txx", 0.5, math.inf): (-0.8858695842358649, -0.46880672359433306, -0.46880671042902816,
+                             -0.4688066972637219, -0.19433159512903492),
+    ("tyy", 0.5, math.inf): (-0.12370427366470686, 0.13318057405786718, 0.13318058655191994,
+                             0.13318059904597382, 0.165658292167433),
+    ("tzz", 0.5, math.inf): (-0.021580527019898987, 0.6550285211521277, 0.6550285452670084,
+                             0.655028569381891, 0.95634095177847),
+    ("g:2", 0.5, math.inf): (-0.03927853547302355, 0.0985480989775759, 0.09854811116528565,
+                             0.09854812335299665, 0.07563337803787577),
+    ("mz", 1.0, math.inf): (0.2586579046113421, 0.6366197654275652, 0.6366197723675823,
+                            0.6366197793076, 0.8773282152447559),
+    ("txx", 1.0, math.inf): (-0.9342154576676955, -0.6366197793075994, -0.6366197723675823,
+                             -0.6366197654275645, -0.35593389866906316),
+    ("tyy", 1.0, math.inf): (0.033472053592557574, 0.21220658427359018, 0.21220659078919413,
+                             0.21220659730479877, 0.2712790183302038),
+    ("tzz", 1.0, math.inf): (0.09817402148397894, 0.5403796345809205, 0.5403796460924697,
+                             0.5403796576040201, 0.8662621958859344),
+    ("g:2", 1.0, math.inf): (0.008518115544335287, 0.12732394812767783, 0.1273239544735165,
+                             0.12732396081935585, 0.1319839110586131),
     # np.tanh and math.tanh differ in the last ulp for some arguments
-    ("mz", 0.5, 5.0): (0.328425955367587, 0.7215667382423442, 0.7215667389653599,
-                       0.7215667396883758, 0.9373813401389123),
+    ("mz", 0.5, 5.0): (0.32842595536758706, 0.7215667382423441, 0.7215667389653598,
+                       0.7215667396883757, 0.9373813401389122),
 }
 
 
-# Finite-N values recorded with the unchunked momentum sum: {(observable,
-# gamma, beta_tilde, N): values at FINITE_LAMS}.  All must match exactly;
-# the profile digests above would not see a last-bit change of the sums.
+# Finite-N values: {(observable, gamma, beta_tilde, N): values at
+# FINITE_LAMS}.  Recorded with numpy's row sum over the modes; 15 of the 30
+# moved, by at most 2.2e-16, when the mode sum took its own order, with
+# both gate slices passing.  All must match exactly; the profile digests
+# above would not see a last-bit change of the sums.
 FINITE_LAMS = (-1.0, 0.5, 1.0 - 1e-9, 1.0, 1.5)
 FINITE_VALUES = {
     ("mz", 0.5, math.inf, 14): (-0.6929808628551268, 0.43937267400205965,
-                                0.8358380050155195, 0.8358380057122697,
+                                0.8358380050155196, 0.8358380057122696,
                                 0.9613496151460343),
-    ("mz", 0.5, 5.0, 40): (-0.696569008858794, 0.37460540743467935, 0.7465644684113966,
+    ("mz", 0.5, 5.0, 40): (-0.696569008858794, 0.3746054074346793, 0.7465644684113966,
                            0.7465644690719236, 0.941174062808009),
     ("txx", 0.5, math.inf, 40): (-0.44380711656591726, -0.8858695842702263,
                                  -0.4938071180853264, -0.49380711656591725,
-                                 -0.2443315951240529),
-    ("tzz", 0.5, math.inf, 40): (0.6233716381839033, 0.010585164683707363,
-                                 0.6834392489808713, 0.6834392513863871,
+                                 -0.24433159512405284),
+    ("tzz", 0.5, math.inf, 40): (0.6233716381839033, 0.010585164683707321,
+                                 0.6834392489808713, 0.6834392513863872,
                                  0.9524072866352579),
-    ("tzz", 1.0, math.inf, 1000): (0.5395290440454193, 0.09921265310242403,
-                                   0.5412266895855488, 0.5412266925829379,
-                                   0.8660888861252541),
-    ("g:3", 0.5, math.inf, 1000): (0.07792618489532192, -0.0055349484900751875,
-                                   0.07592618251411495, 0.07592618489532191,
-                                   0.03395753645239495),
+    ("tzz", 1.0, math.inf, 1000): (0.5395290440454195, 0.09921265310242403,
+                                   0.5412266895855486, 0.541226692582938,
+                                   0.8660888861252544),
+    ("g:3", 0.5, math.inf, 1000): (0.07792618489532188, -0.0055349484900751806,
+                                   0.07592618251411497, 0.07592618489532188,
+                                   0.03395753645239499),
 }
 
 
