@@ -230,6 +230,33 @@ def test_work_block_fits_the_budget(monkeypatch):
             assert sum(width for _, width in blocks) == lams.size, (size, terms)
 
 
+def test_work_rows_follow_the_plan(monkeypatch):
+    # The work block has the rows the slab plan uses and no more: d, Lambda
+    # and each term for min(N/2, SLAB) modes, and a call writes every row
+    # of it.  N = 4 and 14 have one short slab, 16 one slab of 8 modes, 258
+    # three slabs (the last of one mode), 1000 eight (the last of 52).
+    real = xy_model._terms
+    blocks = []
+
+    def sentinel(modes, lam, beta_tilde, with_mz, rows, work):
+        base = work[2].base
+        if not any(block is base for block in blocks):
+            base[...] = np.nan
+            blocks.append(base)
+        return real(modes, lam, beta_tilde, with_mz, rows, work)
+
+    monkeypatch.setattr(xy_model, "_terms", sentinel)
+    lams = np.linspace(0.5, 1.5, 300)
+    for size in (4, 14, 16, 18, 40, 258, 1000):
+        for terms, kinds in _KIND_SETS.items():
+            blocks.clear()
+            ObservableCurve(kinds, 0.5, size=size)(lams)
+            (block,) = blocks
+            rows = ~np.isnan(block.reshape(-1, block.shape[-1])).all(axis=1)
+            assert rows.size == xy_model._block_rows(size // 2, terms), (size, terms)
+            assert rows.all(), (size, terms)
+
+
 def _reference(name, beta_tilde, lams, gamma, size):
     """The momentum sum as first written: the dispersion expression, the
     numerator in cos phi - lam, the np.where zero-energy guard and one
