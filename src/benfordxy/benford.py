@@ -282,15 +282,35 @@ def key_histograms(nonzero, ks) -> dict[int, np.ndarray]:
     return {k: hists[k] for k in ks}
 
 
+@dataclass(frozen=True, eq=False)
+class _Expected:
+    """An expected table as the raw distances take it: its counts, and its
+    shares (the counts over their sum), computed at bd's first use."""
+
+    counts: np.ndarray
+
+    @functools.cached_property
+    def shares(self) -> np.ndarray:
+        return self.counts / self.counts.sum()
+
+
+@functools.lru_cache(maxsize=64)  # a few value counts per depth in a run
+def _benford_expected(k: int, count: int) -> _Expected:
+    """The Benford-expected table of count values at depth k; read-only."""
+    expected = _Expected(float(count) * benford_probabilities(k))
+    expected.counts.flags.writeable = expected.shares.flags.writeable = False
+    return expected
+
+
 def combo_distances(nonzero, combos) -> list[float]:
     """Distance of nonzero values from the Benford law for each (k, distance)
-    combo, every depth from one `key_histograms` pass and one expected table
-    per depth (its total is the number of values, which every depth's
-    counts sum to)."""
+    combo, every depth from one `key_histograms` pass, the expected table
+    per depth from a cache by (k, value count) (every depth's counts sum
+    to the value count), and one O - E per depth for all its distances."""
     counts = key_histograms(nonzero, {k for k, _ in combos})
-    total = float(np.size(nonzero))
-    expected = {k: total * benford_probabilities(k) for k in counts}
-    return [_RAW_DISTANCES[d](counts[k], expected[k]) for k, d in combos]
+    expected = {k: _benford_expected(k, np.size(nonzero)) for k in counts}
+    deviations = {k: counts[k] - expected[k].counts for k in counts}
+    return [_RAW_DISTANCES[d](counts[k], expected[k], deviations[k]) for k, d in combos]
 
 
 def _check_pair(observed: FrequencyTable, expected: FrequencyTable):
@@ -300,18 +320,24 @@ def _check_pair(observed: FrequencyTable, expected: FrequencyTable):
         )
 
 
+def _raw_args(observed: FrequencyTable, expected: FrequencyTable):
+    """The arguments of a raw distance: O, the expected table, O - E."""
+    obs, exp = observed.counts, expected.counts
+    return obs, _Expected(exp), np.subtract(obs, exp, dtype=float)
+
+
 def delta_md(observed: FrequencyTable, expected: FrequencyTable) -> float:
     """Mean-deviation-style distance sum(|O - E| / E) over all keys."""
     _check_pair(observed, expected)
     if np.any(expected.counts <= 0.0):
         raise ValueError("expected counts must be strictly positive")
-    return _delta_md(observed.counts, expected.counts)
+    return _delta_md(*_raw_args(observed, expected))
 
 
 def delta_sd(observed: FrequencyTable, expected: FrequencyTable) -> float:
     """Standard-deviation-style distance sqrt(sum((O - E)^2))."""
     _check_pair(observed, expected)
-    return _delta_sd(observed.counts, expected.counts)
+    return _delta_sd(*_raw_args(observed, expected))
 
 
 def delta_bd(observed: FrequencyTable, expected: FrequencyTable) -> float:
@@ -320,25 +346,24 @@ def delta_bd(observed: FrequencyTable, expected: FrequencyTable) -> float:
     _check_pair(observed, expected)
     if not (observed.total > 0.0 and expected.total > 0.0):
         raise ValueError("both tables need a positive total")
-    return _delta_bd(observed.counts, expected.counts)
+    return _delta_bd(*_raw_args(observed, expected))
 
 
-def _delta_md(obs: np.ndarray, exp: np.ndarray) -> float:
-    dev = np.subtract(obs, exp, dtype=float)
-    np.abs(dev, out=dev)
-    dev /= exp
+# The raw distances take (O, expected table, O - E); md and sd of one depth
+# share its O - E, and O - E is left as it is.
+def _delta_md(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
+    dev = np.abs(dev)
+    dev /= exp.counts
     return float(dev.sum())
 
 
-def _delta_sd(obs: np.ndarray, exp: np.ndarray) -> float:
-    dev = np.subtract(obs, exp, dtype=float)
-    dev *= dev
-    return float(np.sqrt(dev.sum()))
+def _delta_sd(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
+    return float(np.sqrt((dev * dev).sum()))
 
 
-def _delta_bd(obs: np.ndarray, exp: np.ndarray) -> float:
+def _delta_bd(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
     o = obs / obs.sum()
-    o *= exp / exp.sum()
+    o *= exp.shares
     bc = float(np.sqrt(o, out=o).sum())
     return max(0.0, -math.log(bc))
 

@@ -36,6 +36,7 @@ from . import benford
 from . import scaling as sc
 from .quadrature import QuadratureError
 from .windows import (
+    DOUBLING_MAX_N,
     ConvergenceError,
     WindowSpec,
     convergence_check,
@@ -303,7 +304,8 @@ def cmd_profile(cfg: RunConfig) -> int:
     if len(sizes) != 1:
         raise UsageError("profile takes exactly one --n-sites value")
     curve = _curve(cfg, sizes[0])
-    spec = _window_spec(cfg, COARSE_N if cfg.auto_n else cfg.resolved_n(cfg.k))
+    # --auto-n's sweep is checked at the largest n its doubling can reach
+    spec = _window_spec(cfg, DOUBLING_MAX_N if cfg.auto_n else cfg.resolved_n(cfg.k))
     if cfg.auto_n:
         res = convergence_check(
             curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs()

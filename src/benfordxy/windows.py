@@ -33,6 +33,14 @@ _BLOCK = 32  # windows per work unit; fixed so partitioning never depends on job
 #: most windows one sweep may hold (the --full preset has 19 001); a sweep
 #: past it is refused before anything is allocated for its windows
 MAX_WINDOWS = 1_000_000
+#: most samples of one window, and of one sweep (windows x samples): the
+#: presets reach at most 160 000 and 19 001 x 160 000 = 3.04e9 (--full's
+#: sweep at the largest n of --auto-n's doubling); a sweep past either is
+#: refused when its spec is built, like one past MAX_WINDOWS
+MAX_WINDOW_SAMPLES = 1_000_000
+MAX_SWEEP_SAMPLES = 4_000_000_000
+#: largest n of `convergence_check`'s doubling
+DOUBLING_MAX_N = 160_000
 
 
 class DegenerateWindowError(ValueError):
@@ -67,6 +75,12 @@ class WindowSpec:
                 f"the sweep has {self._shifts() + 1:.6g} windows, "
                 f"more than the cap of {MAX_WINDOWS}"
             )
+        if self.n > MAX_WINDOW_SAMPLES:
+            raise ValueError(f"n = {self.n} samples per window is more than the cap "
+                             f"of {MAX_WINDOW_SAMPLES}")
+        if self.count * self.n > MAX_SWEEP_SAMPLES:
+            raise ValueError(f"the sweep takes {self.count} x {self.n} samples, more "
+                             f"than the cap of {MAX_SWEEP_SAMPLES}")
 
     def _shifts(self) -> float:
         return (self.b - self.a - self.w) / self.epsilon + 1e-9
@@ -261,7 +275,7 @@ def convergence_check(
     distance: str,
     tolerance: float = 0.01,
     n0: int = 2500,
-    max_n: int = 160000,
+    max_n: int = DOUBLING_MAX_N,
     jobs: int = 1,
 ) -> ConvergenceResult:
     """First n in {n0, 2*n0, 4*n0, ...} whose profile is stable under
@@ -269,6 +283,7 @@ def convergence_check(
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
+    dataclasses.replace(spec, n=max_n)  # a sweep past the caps at max_n: refused first
     cache: dict[int, np.ndarray] = {}
 
     def deltas_at(n: int) -> np.ndarray:

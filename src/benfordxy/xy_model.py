@@ -45,7 +45,8 @@ import numpy as np
 from .quadrature import integrate, rule_size
 
 #: most modes of a slab, whose terms are evaluated and folded at once: a
-#: chain of N <= 128 sites is one slab, the N = inf rule at gamma = 0.5 21
+#: chain of N <= 128 sites is one slab, the N = inf rule at gamma = 0.5
+#: (670 nodes) 11
 SLAB = 64
 #: most float64 work elements of one mode sum (1 MiB): the fields are split
 #: into equal chunks as wide as this allows; no value depends on it, since
@@ -423,7 +424,7 @@ class ObservableCurve:
     `kinds` and `parts` are tuples for every curve: its kinds, and the
     single-kind curve of each (the curve itself for one kind).
     An N = inf curve whose rule needs more than `quadrature.MAX_NODES` nodes
-    (|gamma| below about 4e-4, or |r| above about 5e3) raises
+    (|gamma| below about 3.9e-4, or |r| above about 5.2e3) raises
     `quadrature.QuadratureError` when it is constructed.
     """
 

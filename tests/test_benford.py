@@ -371,6 +371,26 @@ def test_distance_oracles():
     assert abs(benford.delta_sd(perturbed, expected2) - math.sqrt(18.0)) < 1e-12
 
 
+def test_combo_distances_equal_the_public_distances():
+    # The window path takes its expected tables from a cache by (k, value
+    # count) and shares O - E between md and sd; every distance must keep
+    # the bits of the public functions on the same tables, in any combo
+    # order, and the cached tables must not be writable.
+    rng = np.random.default_rng(7)
+    combos = [(k, d) for k in (4, 1, 3, 2) for d in ("bd", "md", "sd")]
+    for size in (100, 1000, 9999, 1000):
+        values = rng.lognormal(0.0, 2.0, size)
+        got = benford.combo_distances(values, combos)
+        want = []
+        for k, d in combos:
+            observed = benford.observed_table(values, k)
+            want.append(benford.DISTANCES[d](observed, benford.expected_table(size, k)))
+        assert got == want
+    cached = benford._benford_expected(2, 1000)
+    assert cached is benford._benford_expected(2, 1000)
+    assert not cached.counts.flags.writeable and not cached.shares.flags.writeable
+
+
 def test_distance_validation():
     t1 = benford.expected_table(100.0, 1)
     t2 = benford.expected_table(100.0, 2)

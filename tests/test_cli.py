@@ -61,6 +61,12 @@ def run(argv, capsys):
         ["table1", "--gamma=-1e160", "--n-sites", "14,16,18"],
         ["profile", "--epsilon", "1e-9"],
         ["table1", "--epsilon", "1e-9", "--n-sites", "14,16,18"],
+        # past the samples caps: per window, and per sweep (95 001 windows
+        # at --auto-n's largest n, 160 000)
+        ["profile", "--n", "1000000000"],
+        ["profile", "--n-sites", "inf", "--n", "1000001"],
+        ["table1", "--n", "1000000000", "--n-sites", "14,16,18"],
+        ["profile", "--auto-n", "--epsilon", "1e-5"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch):
@@ -69,6 +75,7 @@ def test_usage_errors_exit_1(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "profile_set", no_profiles)
     monkeypatch.setattr(cli, "profile_windows", no_profiles)
+    monkeypatch.setattr(cli, "convergence_check", no_profiles)
     code, _, err = run(argv, capsys)
     assert code == 1
     assert err.startswith("error[usage]:") or "error[usage]:" in err

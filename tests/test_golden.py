@@ -70,36 +70,38 @@ GOLDEN = {
 # N = infinity values of the graded Gauss-Legendre rule, on a field grid
 # across lambda_c = 1: {(observable, gamma, beta_tilde): values at
 # INF_LAMS}.  They replaced the adaptive Simpson values (moved by at most
-# 6.7e-13; each is within 3.1e-15 of a 30-digit mpmath quadrature) with the
-# N = inf gate of tests/test_inf_gate.py passing.  When the mode sum took
-# its own order (a halving fold per slab) in place of numpy's pairwise one,
-# 46 of the 55 moved, by at most 5.6e-16, with both gate slices passing.
-# Ground-state values must match exactly.
+# 6.7e-13) with the N = inf gate of tests/test_inf_gate.py passing.  When the
+# mode sum took its own order (a halving fold per slab) in place of numpy's
+# pairwise one, 46 of the 55 moved, by at most 5.6e-16; when each part of the
+# rule took its own node count, all 55 moved, by at most 2.4e-15, with both
+# gate slices passing.  Each is within 6.9e-16 of a 30-digit mpmath
+# quadrature (2.8e-15 before the node counts).  Ground-state values must
+# match exactly.
 INF_LAMS = (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5)
 INF_VALUES = {
-    ("mz", 0.5, math.inf): (0.29665691709389574, 0.7698003459220102, 0.7698003589195022,
-                            0.7698003719169951, 0.9613263294091248),
-    ("txx", 0.5, math.inf): (-0.8858695842358649, -0.46880672359433306, -0.46880671042902816,
-                             -0.4688066972637219, -0.19433159512903492),
-    ("tyy", 0.5, math.inf): (-0.12370427366470686, 0.13318057405786718, 0.13318058655191994,
-                             0.13318059904597382, 0.165658292167433),
-    ("tzz", 0.5, math.inf): (-0.021580527019898987, 0.6550285211521277, 0.6550285452670084,
-                             0.655028569381891, 0.95634095177847),
-    ("g:2", 0.5, math.inf): (-0.03927853547302355, 0.0985480989775759, 0.09854811116528565,
-                             0.09854812335299665, 0.07563337803787577),
-    ("mz", 1.0, math.inf): (0.2586579046113421, 0.6366197654275652, 0.6366197723675823,
-                            0.6366197793076, 0.8773282152447559),
-    ("txx", 1.0, math.inf): (-0.9342154576676955, -0.6366197793075994, -0.6366197723675823,
-                             -0.6366197654275645, -0.35593389866906316),
-    ("tyy", 1.0, math.inf): (0.033472053592557574, 0.21220658427359018, 0.21220659078919413,
-                             0.21220659730479877, 0.2712790183302038),
-    ("tzz", 1.0, math.inf): (0.09817402148397894, 0.5403796345809205, 0.5403796460924697,
-                             0.5403796576040201, 0.8662621958859344),
-    ("g:2", 1.0, math.inf): (0.008518115544335287, 0.12732394812767783, 0.1273239544735165,
-                             0.12732396081935585, 0.1319839110586131),
+    ("mz", 0.5, math.inf): (0.29665691709389536, 0.7698003459220093, 0.7698003589195014,
+                            0.7698003719169944, 0.9613263294091235),
+    ("txx", 0.5, math.inf): (-0.8858695842358637, -0.46880672359433256, -0.46880671042902755,
+                             -0.4688066972637213, -0.1943315951290347),
+    ("tyy", 0.5, math.inf): (-0.12370427366470639, 0.13318057405786696, 0.1331805865519197,
+                             0.13318059904597365, 0.16565829216743272),
+    ("tzz", 0.5, math.inf): (-0.02158052701989864, 0.6550285211521262, 0.6550285452670069,
+                             0.6550285693818896, 0.9563409517784676),
+    ("g:2", 0.5, math.inf): (-0.039278535473022846, 0.09854809897757558, 0.09854811116528542,
+                             0.09854812335299638, 0.07563337803787555),
+    ("mz", 1.0, math.inf): (0.2586579046113415, 0.6366197654275644, 0.6366197723675814,
+                            0.6366197793075993, 0.877328215244755),
+    ("txx", 1.0, math.inf): (-0.9342154576676941, -0.6366197793075984, -0.6366197723675814,
+                             -0.6366197654275635, -0.3559338986690623),
+    ("tyy", 1.0, math.inf): (0.033472053592557026, 0.21220658427358963, 0.21220659078919354,
+                             0.21220659730479818, 0.27127901833020335),
+    ("tzz", 1.0, math.inf): (0.09817402148397811, 0.540379634580919, 0.540379646092468,
+                             0.5403796576040185, 0.8662621958859325),
+    ("g:2", 1.0, math.inf): (0.008518115544335101, 0.12732394812767792, 0.12732395447351658,
+                             0.12732396081935596, 0.13198391105861343),
     # np.tanh and math.tanh differ in the last ulp for some arguments
-    ("mz", 0.5, 5.0): (0.32842595536758706, 0.7215667382423441, 0.7215667389653598,
-                       0.7215667396883757, 0.9373813401389122),
+    ("mz", 0.5, 5.0): (0.32842595536758673, 0.7215667382423433, 0.7215667389653591,
+                       0.7215667396883747, 0.9373813401389112),
 }
 
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import benfordxy
-from benfordxy import quadrature
+from benfordxy import quadrature, xy_model
 from benfordxy.quadrature import MAX_NODES, ORDER, QuadratureError, integrate, rule, rule_size
+from benfordxy.xy_model import ObservableCurve, ObservableKind, _rule_width
 
 WIDTHS = (math.inf, 1.0, 0.04, 4.0 / 30)
 
@@ -25,24 +26,57 @@ def test_weights_sum_to_the_length(width):
         assert (weights > 0).all() and not nodes.flags.writeable
 
 
+def _parts(a, b, width):
+    """(lo, hi, order, nodes, weights) of each part of rule(a, b, width), in
+    node order, from the panels the rule was built on."""
+    nodes, weights = rule(a, b, width)
+    at = 0
+    for lo, hi, parts, order in quadrature._panels(a, b, width):
+        cuts = np.linspace(lo, hi, parts + 1)
+        for p in range(parts):
+            yield cuts[p], cuts[p + 1], order, nodes[at:at + order], weights[at:at + order]
+            at += order
+    assert at == nodes.size
+
+
+def _fewest_nodes(part, width):
+    """The order the rule's docstring defines, by counting up: the fewest n
+    with rho^(-2n) no larger than (1 + sqrt 2)^(-2 ORDER)."""
+    a = max(width / part, 1.0)
+    rho = min(a + math.sqrt(a * a + 1.0), 3.0 + math.sqrt(8.0))
+    target = (1.0 + math.sqrt(2.0)) ** (-2 * ORDER) * (1.0 + 1e-12)
+    return next(n for n in range(1, ORDER + 1) if rho ** (-2 * n) <= target)
+
+
 def test_polynomial_is_machine_exact():
-    # Each panel's ORDER nodes integrate every polynomial up to degree
-    # 2 ORDER - 1 = 31: on a panel with midpoint c and half-width h,
-    # ((x - c)/h)^d integrates to 2h/(d + 1) for even d and to 0 for odd d.
-    # Floats near 0 keep a panel's relative precision however narrow it is,
-    # so the left half's panels are checked one by one; the whole rule on
-    # [0, 1] and on [-1, 1] must be exact on x^d as well.
-    nodes, weights = rule(0.0, 1.0, 0.2)
-    sym_nodes, sym_weights = rule(-1.0, 1.0)
-    left = nodes.size // 2
-    x, w = nodes[:left].reshape(-1, ORDER), weights[:left].reshape(-1, ORDER)
-    h = w.sum(axis=1, keepdims=True) / 2.0
-    t = (x - x.mean(axis=1, keepdims=True)) / h
-    for d in range(2 * ORDER):
-        got = (w * t**d).sum(axis=1) / (2.0 * h[:, 0])
-        assert np.abs(got - (d % 2 == 0) / (d + 1)).max() <= 2e-15, d
-        assert abs(weights @ nodes**d - 1.0 / (d + 1)) <= 2e-15, d
-        assert abs(sym_weights @ sym_nodes**d - 2.0 * (d % 2 == 0) / (d + 1)) <= 4e-15, d
+    for b, width in ((1.0, 0.2), (math.pi, 1.0), (math.pi, 4.0 / 30), (1.0, math.inf)):
+        _check_polynomials_part_by_part(b, width)
+
+
+def _check_polynomials_part_by_part(b, width):
+    # A part's n nodes integrate every polynomial up to degree 2n - 1: on a
+    # part with midpoint c and half-width h, ((x - c)/h)^d integrates to
+    # 2h/(d + 1) for even d and to 0 for odd d.  Floats near 0 keep a
+    # part's relative precision however narrow it is, so the parts of the
+    # left half of [0, b] are checked one by one, each at its own order.
+    orders = set()
+    for lo, hi, order, x, w in _parts(0.0, b, width):
+        orders.add(order)
+        if lo >= 0.5 * b:
+            continue
+        assert lo < x[0] and x[-1] < hi and abs(w.sum() - (hi - lo)) <= 4e-15 * (hi - lo)
+        h, t = 0.5 * (hi - lo), (x - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        for d in range(2 * order):
+            got = (w * t**d).sum() / (2.0 * h)
+            assert abs(got - (d % 2 == 0) / (d + 1)) <= 2e-15, (lo, order, d)
+    # the whole rule, on [0, b] and on [-b, b], is exact on x^d up to the
+    # degree of its fewest-node parts
+    for a in (0.0, -b):
+        nodes, weights = rule(a, b, width)
+        for d in range(2 * min(orders)):
+            want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+            scale = (b ** (d + 1) + abs(a) ** (d + 1)) / (d + 1)  # the integral of |x|^d
+            assert abs(weights @ nodes**d - want) <= 4e-15 * max(1.0, scale), (a, d)
 
 
 def test_sine_oracle():
@@ -85,8 +119,85 @@ def test_budget_exhaustion_raises():
 def test_rule_size_counts_panels():
     # 2 (LEVELS + 1) graded panels; a width bound splits the wide ones.
     assert rule_size(0.0, 1.0) == ORDER * 2 * (quadrature.LEVELS + 1)
-    assert rule_size(0.0, 1.0, 0.2) == rule_size(0.0, 1.0) + ORDER * 2  # [1/4, 1/2] halved
-    assert rule_size(0.0, 1.0, 1.0 / 3) == rule_size(0.0, 1.0)  # [1/4, 1/2] fits
+    for width in WIDTHS[1:]:
+        panels = quadrature._panels(0.0, 1.0, width)
+        assert all(parts == max(1, math.ceil((hi - lo) / width)) for lo, hi, parts, _ in panels)
+        assert rule_size(0.0, 1.0, width) == sum(parts * order for *_, parts, order in panels)
+
+
+@pytest.mark.parametrize("width", [*WIDTHS, 2e-3, 0.05, 4.0])
+def test_each_part_takes_the_fewest_nodes_that_match_the_widest(width):
+    # Without a bound every part keeps ORDER nodes; with one, each part
+    # takes the fewest nodes n with rho^(-2n) <= (1 + sqrt 2)^(-2 ORDER):
+    # ORDER on parts as wide as the bound, down to ORDER/2 on the graded
+    # panels near the ends.
+    for lo, hi, parts, order in quadrature._panels(0.0, math.pi, width):
+        want = ORDER if math.isinf(width) else _fewest_nodes((hi - lo) / parts, width)
+        assert order == want, (lo, hi, parts)
+        assert ORDER // 2 <= order <= ORDER
+
+
+def test_panels_below_the_floats_resolution_are_kept():
+    # Near 1e10 the innermost graded panels are narrower than an ulp and
+    # collapse to zero width; they take the fewest nodes and no weight.
+    nodes, weights = rule(1e10, 1e10 + 1.0, 0.5)
+    assert nodes.size == rule_size(1e10, 1e10 + 1.0, 0.5)
+    assert abs(weights.sum() - 1.0) <= 1e-15 and (weights >= 0.0).all()
+
+
+def test_gamma_half_rule_halves_the_nodes():
+    # gamma = 0.5 bounds panels at 1: its widest panels, pi/4, take 14
+    # nodes, the next, pi/8, take 9 and the 39 narrower ones 8 each, per
+    # half of [0, pi]: 670 nodes, against 1 312 with ORDER on every panel.
+    width = _rule_width(0.5, ())
+    orders = [order for *_, order in quadrature._panels(0.0, math.pi, width)]
+    assert orders[:3] == [8, 8, 8] and orders[39:43] == [9, 14, 14, 9]
+    assert rule_size(0.0, math.pi, width) == 2 * (14 + 9 + 39 * 8) == 670 <= 850
+
+
+def test_rule_size_is_the_built_size_for_every_curve_width():
+    # The widths of _rule_width for gamma in [4e-4, 5] and |r| <= 5e3 (the
+    # largest curves under MAX_NODES), on log grids: the count a curve
+    # checks when it is built must be what the rule then builds.
+    widths = {_rule_width(gamma, ()) for gamma in np.geomspace(4e-4, 5.0, 200)}
+    widths |= {_rule_width(1.0, (int(r),)) for r in np.geomspace(1.0, 5e3, 200).round()}
+    for width in sorted(widths):
+        assert rule_size(0.0, math.pi, width) == rule(0.0, math.pi, width)[0].size, width
+
+
+DENSE_GAMMAS = (0.02, 0.1, 0.5, 1.0, 5.0)
+DENSE_KINDS = ("mz", "txx", "tyy", "g:2", "g:3", "g:7", "g:30", "g:-30", "g:300", "g:3000")
+DENSE_LAMS = np.unique(np.concatenate([
+    np.linspace(-2.5, 2.5, 901),
+    [side * (1.0 + sign * 10.0**-k) for side in (1, -1) for sign in (1, -1)
+     for k in range(1, 14)],
+]))
+
+
+def _sixteen_nodes_per_part(a, b, width):
+    """The rule on the same panels and parts with ORDER nodes on each part."""
+    x, w = quadrature._gauss_legendre(ORDER)
+    cuts = np.concatenate([np.linspace(lo, hi, parts + 1)[:-1]
+                           for lo, hi, parts, _ in quadrature._panels(a, b, width)] + [[b]])
+    half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+@pytest.mark.parametrize("gamma", DENSE_GAMMAS)
+def test_fewer_nodes_keep_the_sixteen_node_values(gamma, monkeypatch):
+    # Every observable on a dense field grid through lam = +-1 (+-1e-13 ..
+    # 1e-1 on both sides) must stay within 5e-14 of the same panels and
+    # parts at ORDER nodes each; needs no scipy.
+    kinds = tuple(ObservableKind.parse(kind) for kind in DENSE_KINDS)
+    got = ObservableCurve(kinds, gamma)(DENSE_LAMS)
+
+    def sixteen(f, a, b, width, *, rows):
+        return np.asarray(f(_sixteen_nodes_per_part(a, b, width)))
+
+    monkeypatch.setattr(xy_model, "integrate", sixteen)
+    want = ObservableCurve(kinds, gamma)(DENSE_LAMS)
+    err = np.abs(got - want).max(axis=1)
+    assert err.max() <= 5e-14, dict(zip(DENSE_KINDS, err))
 
 
 def test_n_inf_call_imports_neither_scipy_nor_numpy_polynomial():

@@ -62,6 +62,40 @@ def test_window_counts_presets():
     assert full.count == 19001
 
 
+def test_work_caps_refuse_oversized_sweeps():
+    # Samples per window and per sweep (windows x n) are capped, and a spec
+    # past either cap is refused when it is built: nothing is sampled.
+    from benfordxy.cli import CONVERGED_N
+    from benfordxy.windows import DOUBLING_MAX_N, MAX_SWEEP_SAMPLES, MAX_WINDOW_SAMPLES
+
+    for n in (MAX_WINDOW_SAMPLES + 1, 10**9):
+        with pytest.raises(ValueError, match="samples per window is more than the cap"):
+            W.WindowSpec(0.5, 1.5, 0.05, 1e-3, n)
+    # 95 001 windows: fine at n = 1e4, past the sweep cap at 1e5
+    assert W.WindowSpec(0.5, 1.5, 0.05, 1e-5, 10_000).count == 95_001
+    with pytest.raises(ValueError, match="samples, more than the cap"):
+        W.WindowSpec(0.5, 1.5, 0.05, 1e-5, 100_000)
+    # exactly MAX_SWEEP_SAMPLES is the largest sweep allowed
+    n = MAX_WINDOW_SAMPLES
+    last = 2.0 + (MAX_SWEEP_SAMPLES // n - 1)
+    assert W.WindowSpec(0.0, last, 2.0, 1.0, n).count * n == MAX_SWEEP_SAMPLES
+    with pytest.raises(ValueError, match="samples, more than the cap"):
+        W.WindowSpec(0.0, last + 1.0, 2.0, 1.0, n)
+    # every preset fits, up to --auto-n's doubling on the --full geometry
+    for epsilon in (1e-3, 5e-5):
+        for n in (*CONVERGED_N.values(), DOUBLING_MAX_N):
+            W.WindowSpec(0.5, 1.5, 0.05, epsilon, n)
+
+
+def test_convergence_check_refuses_its_largest_pass_first():
+    def never(lams):
+        raise AssertionError("the observable was sampled")
+
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-5, 2500)
+    with pytest.raises(ValueError, match="more than the cap"):
+        W.convergence_check(never, spec, 1, "md")
+
+
 def _window_count_cases(count=200):
     """Every corner of the domain, a few hand-picked geometries, then a
     seeded uniform sample."""
