@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from benfordxy import benford
 from benfordxy import windows as W
+from benfordxy.cli import CONVERGED_N
 from benfordxy.xy_model import ObservableCurve, ObservableKind
 
 from conftest import COARSE_SPEC, pinned_examples, xy_curve
@@ -65,10 +66,7 @@ def test_window_counts_presets():
 def test_work_caps_refuse_oversized_sweeps():
     # Samples per window and per sweep (windows x n) are capped, and a spec
     # past either cap is refused when it is built: nothing is sampled.
-    from benfordxy.cli import CONVERGED_N
-    from benfordxy.windows import DOUBLING_MAX_N, MAX_SWEEP_SAMPLES, MAX_WINDOW_SAMPLES
-
-    for n in (MAX_WINDOW_SAMPLES + 1, 10**9):
+    for n in (W.MAX_WINDOW_SAMPLES + 1, 10**9):
         with pytest.raises(ValueError, match="samples per window is more than the cap"):
             W.WindowSpec(0.5, 1.5, 0.05, 1e-3, n)
     # 95 001 windows: fine at n = 1e4, past the sweep cap at 1e5
@@ -76,14 +74,14 @@ def test_work_caps_refuse_oversized_sweeps():
     with pytest.raises(ValueError, match="samples, more than the cap"):
         W.WindowSpec(0.5, 1.5, 0.05, 1e-5, 100_000)
     # exactly MAX_SWEEP_SAMPLES is the largest sweep allowed
-    n = MAX_WINDOW_SAMPLES
-    last = 2.0 + (MAX_SWEEP_SAMPLES // n - 1)
-    assert W.WindowSpec(0.0, last, 2.0, 1.0, n).count * n == MAX_SWEEP_SAMPLES
+    n = W.MAX_WINDOW_SAMPLES
+    last = 2.0 + (W.MAX_SWEEP_SAMPLES // n - 1)
+    assert W.WindowSpec(0.0, last, 2.0, 1.0, n).count * n == W.MAX_SWEEP_SAMPLES
     with pytest.raises(ValueError, match="samples, more than the cap"):
         W.WindowSpec(0.0, last + 1.0, 2.0, 1.0, n)
     # every preset fits, up to --auto-n's doubling on the --full geometry
     for epsilon in (1e-3, 5e-5):
-        for n in (*CONVERGED_N.values(), DOUBLING_MAX_N):
+        for n in (*CONVERGED_N.values(), W.DOUBLING_MAX_N):
             W.WindowSpec(0.5, 1.5, 0.05, epsilon, n)
 
 
