@@ -282,24 +282,14 @@ def key_histograms(nonzero, ks) -> dict[int, np.ndarray]:
     return {k: hists[k] for k in ks}
 
 
-@dataclass(frozen=True, eq=False)
-class _Expected:
-    """An expected table as the raw distances take it: its counts, and its
-    shares (the counts over their sum), computed at bd's first use."""
-
-    counts: np.ndarray
-
-    @functools.cached_property
-    def shares(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
-
 @functools.lru_cache(maxsize=64)  # a few value counts per depth in a run
-def _benford_expected(k: int, count: int) -> _Expected:
-    """The Benford-expected table of count values at depth k; read-only."""
-    expected = _Expected(float(count) * benford_probabilities(k))
-    expected.counts.flags.writeable = expected.shares.flags.writeable = False
-    return expected
+def _benford_expected(k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Benford-expected counts of count values at depth k, and their
+    shares (the counts over their sum, for bd); both read-only."""
+    counts = float(count) * benford_probabilities(k)
+    shares = counts / counts.sum()
+    counts.flags.writeable = shares.flags.writeable = False
+    return counts, shares
 
 
 def combo_distances(nonzero, combos) -> list[float]:
@@ -309,7 +299,7 @@ def combo_distances(nonzero, combos) -> list[float]:
     to the value count), and one O - E per depth for all its distances."""
     counts = key_histograms(nonzero, {k for k, _ in combos})
     expected = {k: _benford_expected(k, np.size(nonzero)) for k in counts}
-    deviations = {k: counts[k] - expected[k].counts for k in counts}
+    deviations = {k: counts[k] - expected[k][0] for k in counts}
     return [_RAW_DISTANCES[d](counts[k], expected[k], deviations[k]) for k, d in combos]
 
 
@@ -320,10 +310,10 @@ def _check_pair(observed: FrequencyTable, expected: FrequencyTable):
         )
 
 
-def _raw_args(observed: FrequencyTable, expected: FrequencyTable):
-    """The arguments of a raw distance: O, the expected table, O - E."""
+def _raw_args(observed: FrequencyTable, expected: FrequencyTable, *, shares=False):
+    """The arguments of a raw distance: O, (E, E's shares or None), O - E."""
     obs, exp = observed.counts, expected.counts
-    return obs, _Expected(exp), np.subtract(obs, exp, dtype=float)
+    return obs, (exp, exp / exp.sum() if shares else None), np.subtract(obs, exp, dtype=float)
 
 
 def delta_md(observed: FrequencyTable, expected: FrequencyTable) -> float:
@@ -346,14 +336,17 @@ def delta_bd(observed: FrequencyTable, expected: FrequencyTable) -> float:
     _check_pair(observed, expected)
     if not (observed.total > 0.0 and expected.total > 0.0):
         raise ValueError("both tables need a positive total")
-    return _delta_bd(*_raw_args(observed, expected))
+    return _delta_bd(*_raw_args(observed, expected, shares=True))
 
 
-# The raw distances take (O, expected table, O - E); md and sd of one depth
+# The raw distances take (O, (E, E's shares), O - E); md and sd of one depth
 # share its O - E, and O - E is left as it is.
+_Expected = tuple[np.ndarray, np.ndarray | None]
+
+
 def _delta_md(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
     dev = np.abs(dev)
-    dev /= exp.counts
+    dev /= exp[0]
     return float(dev.sum())
 
 
@@ -363,7 +356,7 @@ def _delta_sd(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
 
 def _delta_bd(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
     o = obs / obs.sum()
-    o *= exp.shares
+    o *= exp[1]
     bc = float(np.sqrt(o, out=o).sum())
     return max(0.0, -math.log(bc))
 

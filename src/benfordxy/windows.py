@@ -280,10 +280,12 @@ def convergence_check(
 ) -> ConvergenceResult:
     """First n in {n0, 2*n0, 4*n0, ...} whose profile is stable under
     doubling: max over windows of |D(2n) - D(n)| / max(D(n), 1e-6) < tolerance.
+    Each pass's spec is checked against the work caps when it is built; to
+    be refused before the first pass, build `spec` at n = max_n, as the CLI
+    does.
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    dataclasses.replace(spec, n=max_n)  # a sweep past the caps at max_n: refused first
     cache: dict[int, np.ndarray] = {}
 
     def deltas_at(n: int) -> np.ndarray:

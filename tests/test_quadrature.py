@@ -70,13 +70,13 @@ def _check_polynomials_part_by_part(b, width):
             got = (w * t**d).sum() / (2.0 * h)
             assert abs(got - (d % 2 == 0) / (d + 1)) <= 2e-15, (lo, order, d)
     # the whole rule, on [0, b] and on [-b, b], is exact on x^d up to the
-    # degree of its fewest-node parts
-    for a in (0.0, -b):
+    # degree of its fewest-node parts, to 2e-15 and 4e-15 times b^(d + 1)
+    # where that is above 1
+    for a, tol in ((0.0, 2e-15), (-b, 4e-15)):
         nodes, weights = rule(a, b, width)
         for d in range(2 * min(orders)):
             want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
-            scale = (b ** (d + 1) + abs(a) ** (d + 1)) / (d + 1)  # the integral of |x|^d
-            assert abs(weights @ nodes**d - want) <= 4e-15 * max(1.0, scale), (a, d)
+            assert abs(weights @ nodes**d - want) <= tol * max(1.0, b ** (d + 1)), (a, d)
 
 
 def test_sine_oracle():
@@ -119,10 +119,14 @@ def test_budget_exhaustion_raises():
 def test_rule_size_counts_panels():
     # 2 (LEVELS + 1) graded panels; a width bound splits the wide ones.
     assert rule_size(0.0, 1.0) == ORDER * 2 * (quadrature.LEVELS + 1)
-    for width in WIDTHS[1:]:
-        panels = quadrature._panels(0.0, 1.0, width)
-        assert all(parts == max(1, math.ceil((hi - lo) / width)) for lo, hi, parts, _ in panels)
-        assert rule_size(0.0, 1.0, width) == sum(parts * order for *_, parts, order in panels)
+    # [1/4, 1/2] and [1/2, 3/4] are halved at width 0.2 and fit at 1/3
+    for width, parts in ((0.2, 2), (1.0 / 3, 1)):
+        quarters = [p for lo, hi, p, _ in quadrature._panels(0.0, 1.0, width) if hi - lo == 0.25]
+        assert quarters == [parts, parts], width
+    # per half: 39 panels of 8 nodes, then [1/8, 1/4] and the parts of
+    # [1/4, 1/2] at 12 nodes each (width 0.2), or at 9 and 13 (width 1/3)
+    assert rule_size(0.0, 1.0, 0.2) == 2 * (39 * 8 + 12 + 2 * 12) == 696
+    assert rule_size(0.0, 1.0, 1.0 / 3) == 2 * (39 * 8 + 9 + 13) == 668
 
 
 @pytest.mark.parametrize("width", [*WIDTHS, 2e-3, 0.05, 4.0])

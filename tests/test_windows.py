@@ -85,15 +85,6 @@ def test_work_caps_refuse_oversized_sweeps():
             W.WindowSpec(0.5, 1.5, 0.05, epsilon, n)
 
 
-def test_convergence_check_refuses_its_largest_pass_first():
-    def never(lams):
-        raise AssertionError("the observable was sampled")
-
-    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-5, 2500)
-    with pytest.raises(ValueError, match="more than the cap"):
-        W.convergence_check(never, spec, 1, "md")
-
-
 def _window_count_cases(count=200):
     """Every corner of the domain, a few hand-picked geometries, then a
     seeded uniform sample."""
