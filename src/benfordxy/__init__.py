@@ -18,7 +18,7 @@ from .benford import (
     observed_table,
     significant_digits,
 )
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError
 from .scaling import (
     CubicFit,
     FitError,
@@ -71,7 +71,6 @@ __all__ = [
     "observed_table",
     "significant_digits",
     "QuadratureError",
-    "integrate",
     "CubicFit",
     "FitError",
     "ScalingResult",

@@ -222,6 +222,8 @@ def resolve_config(args) -> RunConfig:
     flags = {name: getattr(args, name) for name in SETTINGS if hasattr(args, name)}
     values.update(flags)
     if values.get("auto_n"):
+        if args.command != "profile":
+            raise UsageError("--auto-n applies to profile only; give --n or a preset")
         if "n" in flags:
             raise UsageError("--n and --auto-n are mutually exclusive")
         values["n"] = None
@@ -311,8 +313,9 @@ def cmd_profile(cfg: RunConfig) -> int:
             curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs()
         )
         print(f"auto-n: converged at n = {res.n} (deviation {res.deviation:.3g})")
-        spec = dataclasses.replace(spec, n=res.n)
-    prof = profile_windows(curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs())
+        prof = res.profile
+    else:
+        prof = profile_windows(curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs())
     csv_path = _outpath(cfg, "profile.csv")
     _write(csv_path, profile_csv_text(prof))
     _write(_outpath(cfg, "profile.meta"), profile_meta_text(prof))
@@ -329,8 +332,6 @@ def _scaling_sizes(cfg: RunConfig) -> tuple:
     """The sizes a scaling fit runs over, checked before any profile is
     computed: finite, distinct and enough for the fit mode (`_curve` checks
     each size's domain)."""
-    if cfg.auto_n:
-        raise UsageError("--auto-n applies to profile only; give --n or a preset")
     sizes = cfg.sizes_or(SCALING_SIZES)
     if None in sizes:
         raise UsageError("scaling needs finite system sizes")

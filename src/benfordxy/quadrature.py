@@ -13,6 +13,10 @@ sqrt(8); so each part takes the fewest nodes that match, at its rho, the
 error of ORDER nodes on a part as wide as the bound (rho = 1 + sqrt(2)):
 ORDER on the widest parts, down to ORDER/2 on the narrow ones.  Without a
 width bound every part keeps ORDER nodes.
+
+`rule` is cached and refuses more than MAX_NODES nodes from the panels'
+node count, before any array is built; `integrate` hands its integrand
+the whole rule at once.
 """
 
 import functools
@@ -60,12 +64,6 @@ def _panels(a: float, b: float, width: float) -> list[tuple[float, float, int, i
     return panels
 
 
-def rule_size(a: float, b: float, width: float = math.inf) -> int:
-    """Nodes of `rule(a, b, width)`, counted without building it; more than
-    MAX_NODES raise QuadratureError."""
-    return sum(parts * order for *_, parts, order in _panels(a, b, width))
-
-
 @functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """order nodes and weights on [-1, 1] (Golub-Welsch: the eigenvalues of
@@ -97,14 +95,7 @@ def rule(a: float, b: float, width: float = math.inf) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def integrate(f, a: float, b: float, width: float = math.inf, *, rows: int | None = None):
-    """The integral of f over [a, b] by `rule(a, b, width)`: of a float
-    function with ``rows=None``; with ``rows=R``, f gets the rule's ``(nodes,
-    weights)`` and its R weighted sums (last axis) are returned as they are."""
-    nodes, weights = rule(float(a), float(b), float(width))
-    if rows is None:
-        return math.fsum(w * f(x) for x, w in zip(nodes.tolist(), weights.tolist()))
-    sums = np.asarray(f((nodes, weights)))
-    if sums.shape[-1:] != (rows,):
-        raise ValueError(f"expected {rows} sums on the last axis, got shape {sums.shape}")
-    return sums
+def integrate(f, a: float, b: float, width: float = math.inf):
+    """The weighted sums of f over [a, b] by `rule(a, b, width)`: f gets the
+    rule's ``(nodes, weights)`` and its result is returned as it is."""
+    return f(rule(a, b, width))

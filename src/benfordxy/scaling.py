@@ -245,7 +245,8 @@ def scaling_fit(points, mode: str = "fixed", lambda_c: float = 1.0) -> ScalingRe
     return ScalingResult(tuple(pts), lc, alpha, float(q), "free", residual, q_stderr)
 
 
-def derivative_pseudo_critical(observable, fit_window=(0.8, 1.2), n_grid: int = 2001):
+def derivative_pseudo_critical(observable, fit_window=DEFAULT_FIT_WINDOW,
+                               n_grid: int = 2001):
     """Field of the peak of d(observable)/dlambda inside fit_window.
 
     The curve is sampled on a uniform grid, differentiated with centered

@@ -260,12 +260,14 @@ def profile(observable, spec: WindowSpec, k: int, distance: str, jobs: int = 1):
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Smallest converged n, its achieved relative deviation, and the
-    (n, deviation) pairs tested along the doubling schedule."""
+    """Smallest converged n, its achieved relative deviation, the
+    (n, deviation) pairs tested along the doubling schedule, and the
+    profile at n."""
 
     n: int
     deviation: float
     history: tuple[tuple[int, float], ...]
+    profile: ViolationProfile
 
 
 def convergence_check(
@@ -286,23 +288,23 @@ def convergence_check(
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    cache: dict[int, np.ndarray] = {}
+    cache: dict[int, ViolationProfile] = {}
 
-    def deltas_at(n: int) -> np.ndarray:
+    def profile_at(n: int) -> ViolationProfile:
         if n not in cache:
             sp = dataclasses.replace(spec, n=n)
-            cache[n] = profile(observable, sp, k, distance, jobs=jobs).deltas
+            cache[n] = profile(observable, sp, k, distance, jobs=jobs)
         return cache[n]
 
     history = []
     n = n0
     while 2 * n <= max_n:
-        d1 = deltas_at(n)
-        d2 = deltas_at(2 * n)
+        d1 = profile_at(n).deltas
+        d2 = profile_at(2 * n).deltas
         dev = float(np.max(np.abs(d2 - d1) / np.maximum(d1, 1e-6)))
         history.append((n, dev))
         if dev < tolerance:
-            return ConvergenceResult(n, dev, tuple(history))
+            return ConvergenceResult(n, dev, tuple(history), profile_at(n))
         n *= 2
     raise ConvergenceError(
         f"no n <= {max_n // 2} met tolerance {tolerance}; "
@@ -341,15 +343,6 @@ def profile_meta_text(prof: ViolationProfile) -> str:
         ("n", str(sp.n)),
     ]
     return "".join(f"{key} = {val}\n" for key, val in pairs)
-
-
-def write_profile(prof: ViolationProfile, csv_path, meta_path=None):
-    """Write the profile CSV and (optionally) its metadata sidecar."""
-    with open(csv_path, "w") as fh:
-        fh.write(profile_csv_text(prof))
-    if meta_path is not None:
-        with open(meta_path, "w") as fh:
-            fh.write(profile_meta_text(prof))
 
 
 def default_jobs() -> int:

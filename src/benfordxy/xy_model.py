@@ -10,6 +10,8 @@ gamma (finite and nonzero, gamma = 1 is the transverse Ising chain) and the
 inverse temperature beta_tilde, where ``math.inf`` selects the
 zero-temperature ground state exactly (the thermal tanh factor is replaced
 by 1, never by a large finite argument).
+Every observable function here evaluates an `ObservableCurve`, the one
+door to the kernel, so each refuses the parameters `ModelParams` refuses.
 
 Both sizes share one kernel: one set of term expressions (`_terms`) and
 one chunked mode sum (`_chunked_mode_sums`).  With d = cos phi - lam and
@@ -42,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate, rule_size
+from .quadrature import integrate, rule
 
 #: most modes of a slab, whose terms are evaluated and folded at once: a
 #: chain of N <= 128 sites is one slab, the N = inf rule at gamma = 0.5
@@ -67,12 +69,6 @@ _OBSERVABLE_NAMES = ("mz", "txx", "tyy", "tzz", "g")
 MAX_GAMMA = 1e150
 
 
-def _check_gamma_scale(gamma):
-    """Refuse |gamma| above MAX_GAMMA, also in direct kernel calls."""
-    if abs(gamma) > MAX_GAMMA:
-        raise ValueError(f"|gamma| must be at most {MAX_GAMMA:g}, got {gamma}")
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Chain parameters: field lam, anisotropy gamma, inverse temperature
@@ -88,7 +84,8 @@ class ModelParams:
             raise ValueError(
                 f"gamma must be finite and nonzero (XX point is excluded), got {self.gamma}"
             )
-        _check_gamma_scale(self.gamma)
+        if abs(self.gamma) > MAX_GAMMA:
+            raise ValueError(f"|gamma| must be at most {MAX_GAMMA:g}, got {self.gamma}")
         if not self.beta_tilde > 0.0:
             raise ValueError("beta_tilde must be positive")
         if self.system_size is not None:
@@ -302,8 +299,7 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
             modes = _Modes.at(nodes, gamma, offsets, weights / math.pi)
             return _chunked_mode_sums(modes, flat, beta_tilde, with_mz)
 
-        width = _rule_width(gamma, offsets)
-        out = integrate(weighted_sums, 0.0, math.pi, width, rows=flat.size)
+        out = integrate(weighted_sums, 0.0, math.pi, _rule_width(gamma, offsets))
     else:
         out = _chunked_mode_sums(_momentum_modes(size, gamma, offsets), flat,
                                  beta_tilde, with_mz)
@@ -337,7 +333,6 @@ def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     is minus the M_z mean, G(r) the mean of the r term, T_xx = G(-1),
     T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1); at N = inf, kinds on
     different rules take one pass each, as their single curves do."""
-    _check_gamma_scale(gamma)
     if size is None and len({_rule_width(gamma, _layout((kind,))[1]) for kind in kinds}) > 1:
         return np.stack([_curves((kind,), lams, gamma, beta_tilde)[0] for kind in kinds])
     with_mz, offsets, rows = _layout(kinds)
@@ -351,9 +346,6 @@ def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     return np.stack([tzz if row is None else means[row] for row in rows])
 
 
-_MZ = (ObservableKind("mz"),)
-
-
 def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     """Transverse magnetization at each field in lams (vectorized).
 
@@ -361,7 +353,7 @@ def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     Infinite size: the same integrand averaged over [0, pi], a weighted
     sum over the nodes of the graded Gauss-Legendre rule.
     """
-    return _curves(_MZ, lams, gamma, beta_tilde, size)[0]
+    return ObservableCurve(ObservableKind("mz"), gamma, beta_tilde, size)(lams)
 
 
 def magnetization(params: ModelParams) -> float:
@@ -377,11 +369,9 @@ def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
     Infinite size: (1/pi) int_0^pi [gamma sin(r phi) sin phi
     - cos(r phi)(cos phi - lam)] / Lambda dphi, by the graded rule, whose
     panels are at most 4/|r| wide.  Finite size: the discrete momentum sum
-    with the same integrand, (1/pi)int -> (2/N)sum.
+    with the same integrand, (1/pi)int -> (2/N)sum, for |r| <= N/2.
     """
-    if size is not None and abs(r) > size // 2:
-        raise ValueError(f"offset |r|={abs(r)} exceeds N/2={size // 2}")
-    return _curves((ObservableKind("g", r),), lams, gamma, size=size)[0]
+    return ObservableCurve(ObservableKind("g", r), gamma, size=size)(lams)
 
 
 def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:
@@ -396,18 +386,19 @@ def tzz_curve(lams, gamma, size=None) -> np.ndarray:
     G(-1) and G(+1) terms from it: the momenta at finite size, the nodes of
     one graded rule at N = inf.
     """
-    return _curves((ObservableKind("tzz"),), lams, gamma, size=size)[0]
+    return ObservableCurve(ObservableKind("tzz"), gamma, size=size)(lams)
+
+
+_NN = (ObservableKind("txx"), ObservableKind("tyy"), ObservableKind("tzz"))
 
 
 def correlators_nn(lam: float, gamma: float, size: int | None = None):
-    """Nearest-neighbor correlators (T_xx, T_yy, T_zz) at zero temperature.
+    """Nearest-neighbor correlators (T_xx, T_yy, T_zz) at zero temperature,
+    from one joint pass.
 
     T_xx = G(-1), T_yy = G(+1), T_zz = M_z^2 - G(-1) G(+1).
     """
-    g_minus = correlator_G(-1, lam, gamma, size)
-    g_plus = correlator_G(1, lam, gamma, size)
-    mz = magnetization(ModelParams(lam, gamma, math.inf, size))
-    return g_minus, g_plus, mz * mz - g_minus * g_plus
+    return tuple(ObservableCurve(_NN, gamma, size=size)(lam).tolist())
 
 
 @dataclass(frozen=True)
@@ -423,9 +414,10 @@ class ObservableCurve:
     single curve, all from one momentum pass (at N = inf, one per rule).
     `kinds` and `parts` are tuples for every curve: its kinds, and the
     single-kind curve of each (the curve itself for one kind).
-    An N = inf curve whose rule needs more than `quadrature.MAX_NODES` nodes
-    (|gamma| below about 3.9e-4, or |r| above about 5.2e3) raises
-    `quadrature.QuadratureError` when it is constructed.
+    An N = inf curve builds its (cached) rule when it is constructed: one
+    that needs more than `quadrature.MAX_NODES` nodes (|gamma| below about
+    3.9e-4, or |r| above about 5.2e3) raises `quadrature.QuadratureError`
+    there, before any array is built.
     """
 
     kind: ObservableKind | tuple[ObservableKind, ...]
@@ -444,9 +436,10 @@ class ObservableCurve:
                     "only mz accepts finite beta_tilde"
                 )
             if self.size is not None and abs(kind.r) > self.size // 2:
-                raise ValueError("correlator offset exceeds N/2")
+                raise ValueError(f"offset |r|={abs(kind.r)} exceeds "
+                                 f"N/2={self.size // 2}")
         if self.size is None:
-            rule_size(0.0, math.pi, _rule_width(self.gamma, _layout(self.kinds)[1]))
+            rule(0.0, math.pi, _rule_width(self.gamma, _layout(self.kinds)[1]))
 
     @property
     def kinds(self) -> tuple[ObservableKind, ...]:

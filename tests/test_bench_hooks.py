@@ -1,0 +1,64 @@
+"""The benchmark's traced runs against the current program.
+
+`perfbench/tracer.py` wraps names of the program by hand (for instance
+`xy_model.integrate` and `quadrature.QuadratureError`), and the
+benchmark's own tests are not part of this suite.  So a rename here could
+pass every test below `tests/` and still break `perfbench/run.py --trace 1`.
+Each test runs one small command under `perfbench/child.py`'s trace mode,
+as the benchmark does, and checks the spans it leaves.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+SPAN_TOL_S = 1e-3  # the benchmark's tolerance on the self-time sum
+
+_spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+COMMANDS = {
+    "profile-inf": (
+        ["profile", "--n-sites", "inf", "--a", "0.96", "--b", "1.04", "--w", "0.02",
+         "--epsilon", "0.01", "--n", "100", "--jobs", "1"],
+        ("xy_model", "quadrature", "benford.distance", "windows"),
+    ),
+    "table1": (
+        ["table1", "--n-sites", "14,16,18", "--a", "0.5", "--b", "1.5", "--w", "0.05",
+         "--epsilon", "0.02", "--n", "1000", "--jobs", "1"],
+        ("xy_model", "benford.distance", "scaling.cubic_fit", "scaling.scaling_fit"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_traced_run_closes_its_spans_and_reaches_every_layer(name, tmp_path):
+    argv, layers = COMMANDS[name]
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), str(result), "trace", "--",
+         *argv, "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300,
+    )
+    record = json.loads(result.read_text())
+    assert record["rc"] == 0
+    dump = record["trace"]
+    assert tracer.check_spans(dump, record["wall_s"], SPAN_TOL_S) == []
+    spans = tracer.by_name(dump)
+    for layer in layers:
+        calls, seconds = spans.get(layer, (0, 0.0))
+        assert calls > 0 and seconds > 0.0, layer
+    metrics = tracer.layer_metrics(dump)
+    if "quadrature" in layers:
+        assert metrics["quadrature.calls"] > 0
+        assert metrics["quadrature.integrand_evals"] == metrics["quadrature.calls"]
+        assert metrics["quadrature.errors"] == 0

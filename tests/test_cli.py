@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import benfordxy
-from benfordxy import cli
+from benfordxy import cli, windows
 
 
 def run(argv, capsys):
@@ -67,9 +67,16 @@ def run(argv, capsys):
         ["profile", "--n-sites", "inf", "--n", "1000001"],
         ["table1", "--n", "1000000000", "--n-sites", "14,16,18"],
         ["profile", "--auto-n", "--epsilon", "1e-5"],
+        # --auto-n applies to profile only (NUMBERS: a readable numeric file)
+        ["observables", "--n-sites", "14", "--auto-n"],
+        ["benford", "NUMBERS", "--auto-n"],
     ],
 )
-def test_usage_errors_exit_1(argv, capsys, monkeypatch):
+def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
+    numbers = tmp_path / "numbers.txt"
+    numbers.write_text("1.5\n23\n")
+    argv = [str(numbers) if arg == "NUMBERS" else arg for arg in argv]
+
     def no_profiles(*args, **kwargs):
         raise AssertionError("a usage error must stop the run before any profile")
 
@@ -327,6 +334,32 @@ def test_profile_meta_reproduces_run_byte_identically(tmp_path, capsys):
     assert code == 0
     assert (first / "profile.csv").read_bytes() == (again / "profile.csv").read_bytes()
     assert (first / "profile.meta").read_bytes() == (again / "profile.meta").read_bytes()
+
+
+def test_auto_n_writes_the_converged_profile_without_another_pass(tmp_path, capsys,
+                                                                 monkeypatch):
+    # convergence_check has already profiled the converged n: --auto-n
+    # writes that profile, with the bytes of a plain --n run at that n
+    passes = []
+    profile_set = windows.profile_set
+
+    def counted(curve, spec, *args, **kwargs):
+        passes.append(spec.n)
+        return profile_set(curve, spec, *args, **kwargs)
+
+    monkeypatch.setattr(windows, "profile_set", counted)
+    base = ["profile", "--n-sites", "14", "--a", "0.5", "--b", "1.5", "--w", "0.5",
+            "--epsilon", "0.25", "--jobs", "1"]
+    code, out, _ = run(base + ["--auto-n", "--out", str(tmp_path / "auto")], capsys)
+    assert code == 0
+    n = int(out.split("converged at n = ")[1].split()[0])
+    # one pass per n of the doubling, up to the 2n that confirmed n
+    assert passes == [2500 * 2**i for i in range(len(passes))] and passes[-1] == 2 * n
+    code, _, _ = run(base + ["--n", str(n), "--out", str(tmp_path / "plain")], capsys)
+    assert code == 0
+    for name in ("profile.csv", "profile.meta"):
+        auto, plain = (tmp_path / run_dir / name for run_dir in ("auto", "plain"))
+        assert auto.read_bytes() == plain.read_bytes()
 
 
 def test_profile_preset_overrides_config_resolution(tmp_path, capsys):

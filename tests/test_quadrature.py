@@ -10,7 +10,7 @@ import pytest
 
 import benfordxy
 from benfordxy import quadrature, xy_model
-from benfordxy.quadrature import MAX_NODES, ORDER, QuadratureError, integrate, rule, rule_size
+from benfordxy.quadrature import MAX_NODES, ORDER, QuadratureError, integrate, rule
 from benfordxy.xy_model import ObservableCurve, ObservableKind, _rule_width
 
 WIDTHS = (math.inf, 1.0, 0.04, 4.0 / 30)
@@ -21,7 +21,7 @@ def test_weights_sum_to_the_length(width):
     for a, b in ((0.0, math.pi), (-1.0, 2.5)):
         nodes, weights = rule(a, b, width)
         assert abs(weights.sum() - (b - a)) <= 4e-15 * (b - a)
-        assert nodes.size == weights.size == rule_size(a, b, width)
+        assert nodes.size == weights.size
         assert a < nodes[0] and nodes[-1] < b and (np.diff(nodes) > 0).all()
         assert (weights > 0).all() and not nodes.flags.writeable
 
@@ -80,26 +80,30 @@ def _check_polynomials_part_by_part(b, width):
 
 
 def test_sine_oracle():
-    assert abs(integrate(math.sin, 0.0, math.pi) - 2.0) < 1e-14
+    nodes, weights = rule(0.0, math.pi)
+    assert abs(weights @ np.sin(nodes) - 2.0) < 1e-14
 
 
 def test_oscillatory_meets_tolerance():
     # Panels at most 0.1 wide resolve cos(40 x): 0.64 periods per panel.
-    val = integrate(lambda x: math.cos(40.0 * x), 0.0, 1.0, 0.1)
-    assert abs(val - math.sin(40.0) / 40.0) < 1e-15
+    nodes, weights = rule(0.0, 1.0, 0.1)
+    assert abs(weights @ np.cos(40.0 * nodes) - math.sin(40.0) / 40.0) < 1e-15
 
 
 def test_determinism():
-    f = lambda x: math.sqrt(abs(math.sin(13.0 * x)) + 0.1)
+    def f(nodes_weights):
+        nodes, weights = nodes_weights
+        return weights @ np.sqrt(np.abs(np.sin(13.0 * nodes)) + 0.1)
+
     assert integrate(f, 0.0, 2.0) == integrate(f, 0.0, 2.0)
     assert rule(0.0, 2.0) is rule(0.0, 2.0)
 
 
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
-        integrate(math.sin, 1.0, 0.0)
+        rule(1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(math.sin, 1.0, 1.0)
+        rule(1.0, 1.0)
 
 
 def test_budget_exhaustion_raises():
@@ -110,23 +114,23 @@ def test_budget_exhaustion_raises():
 
     for width in (1e-9, 5e-324, math.pi / MAX_NODES):
         with pytest.raises(QuadratureError):
-            rule_size(0.0, math.pi, width)
+            rule(0.0, math.pi, width)
         with pytest.raises(QuadratureError):
-            integrate(never, 0.0, math.pi, width, rows=3)
-    assert rule_size(0.0, math.pi, 0.01) <= MAX_NODES
+            integrate(never, 0.0, math.pi, width)
+    assert rule(0.0, math.pi, 0.01)[0].size <= MAX_NODES
 
 
 def test_rule_size_counts_panels():
     # 2 (LEVELS + 1) graded panels; a width bound splits the wide ones.
-    assert rule_size(0.0, 1.0) == ORDER * 2 * (quadrature.LEVELS + 1)
+    assert rule(0.0, 1.0)[0].size == ORDER * 2 * (quadrature.LEVELS + 1)
     # [1/4, 1/2] and [1/2, 3/4] are halved at width 0.2 and fit at 1/3
     for width, parts in ((0.2, 2), (1.0 / 3, 1)):
         quarters = [p for lo, hi, p, _ in quadrature._panels(0.0, 1.0, width) if hi - lo == 0.25]
         assert quarters == [parts, parts], width
     # per half: 39 panels of 8 nodes, then [1/8, 1/4] and the parts of
     # [1/4, 1/2] at 12 nodes each (width 0.2), or at 9 and 13 (width 1/3)
-    assert rule_size(0.0, 1.0, 0.2) == 2 * (39 * 8 + 12 + 2 * 12) == 696
-    assert rule_size(0.0, 1.0, 1.0 / 3) == 2 * (39 * 8 + 9 + 13) == 668
+    assert rule(0.0, 1.0, 0.2)[0].size == 2 * (39 * 8 + 12 + 2 * 12) == 696
+    assert rule(0.0, 1.0, 1.0 / 3)[0].size == 2 * (39 * 8 + 9 + 13) == 668
 
 
 @pytest.mark.parametrize("width", [*WIDTHS, 2e-3, 0.05, 4.0])
@@ -145,7 +149,8 @@ def test_panels_below_the_floats_resolution_are_kept():
     # Near 1e10 the innermost graded panels are narrower than an ulp and
     # collapse to zero width; they take the fewest nodes and no weight.
     nodes, weights = rule(1e10, 1e10 + 1.0, 0.5)
-    assert nodes.size == rule_size(1e10, 1e10 + 1.0, 0.5)
+    panels = quadrature._panels(1e10, 1e10 + 1.0, 0.5)
+    assert nodes.size == sum(parts * order for *_, parts, order in panels)
     assert abs(weights.sum() - 1.0) <= 1e-15 and (weights >= 0.0).all()
 
 
@@ -156,17 +161,7 @@ def test_gamma_half_rule_halves_the_nodes():
     width = _rule_width(0.5, ())
     orders = [order for *_, order in quadrature._panels(0.0, math.pi, width)]
     assert orders[:3] == [8, 8, 8] and orders[39:43] == [9, 14, 14, 9]
-    assert rule_size(0.0, math.pi, width) == 2 * (14 + 9 + 39 * 8) == 670 <= 850
-
-
-def test_rule_size_is_the_built_size_for_every_curve_width():
-    # The widths of _rule_width for gamma in [4e-4, 5] and |r| <= 5e3 (the
-    # largest curves under MAX_NODES), on log grids: the count a curve
-    # checks when it is built must be what the rule then builds.
-    widths = {_rule_width(gamma, ()) for gamma in np.geomspace(4e-4, 5.0, 200)}
-    widths |= {_rule_width(1.0, (int(r),)) for r in np.geomspace(1.0, 5e3, 200).round()}
-    for width in sorted(widths):
-        assert rule_size(0.0, math.pi, width) == rule(0.0, math.pi, width)[0].size, width
+    assert rule(0.0, math.pi, width)[0].size == 2 * (14 + 9 + 39 * 8) == 670 <= 850
 
 
 DENSE_GAMMAS = (0.02, 0.1, 0.5, 1.0, 5.0)
@@ -195,8 +190,8 @@ def test_fewer_nodes_keep_the_sixteen_node_values(gamma, monkeypatch):
     kinds = tuple(ObservableKind.parse(kind) for kind in DENSE_KINDS)
     got = ObservableCurve(kinds, gamma)(DENSE_LAMS)
 
-    def sixteen(f, a, b, width, *, rows):
-        return np.asarray(f(_sixteen_nodes_per_part(a, b, width)))
+    def sixteen(f, a, b, width):
+        return f(_sixteen_nodes_per_part(a, b, width))
 
     monkeypatch.setattr(xy_model, "integrate", sixteen)
     want = ObservableCurve(kinds, gamma)(DENSE_LAMS)

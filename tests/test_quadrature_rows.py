@@ -20,16 +20,16 @@ def exponentials(rates):
 
 
 def test_empty_batch():
-    assert integrate(exponentials([]), 0.0, 1.0, rows=0).shape == (0,)
+    assert integrate(exponentials([]), 0.0, 1.0).shape == (0,)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 64, 256])
 def test_row_alone_equals_row_in_batch(batch):
     # Every row gets the same rule, whatever the row count.
     rates = np.linspace(-3.0, 5.0, batch)
-    got = integrate(exponentials(rates), 0.0, 1.0, rows=batch)
+    got = integrate(exponentials(rates), 0.0, 1.0)
     for i in {0, batch // 2, batch - 1}:
-        alone = integrate(exponentials(rates[i]), 0.0, 1.0, rows=1)
+        alone = integrate(exponentials(rates[i]), 0.0, 1.0)
         assert alone.tobytes() == got[i : i + 1].tobytes()
         assert abs(alone[0] - np.expm1(rates[i]) / rates[i]) < 1e-13
 
@@ -43,13 +43,9 @@ def test_one_call_per_rule():
         nodes, weights = nodes_weights
         return np.stack([weights @ np.cos(nodes), weights @ np.sin(nodes)])[:, None]
 
-    got = integrate(f, 0.0, math.pi, 0.5, rows=1)
+    got = integrate(f, 0.0, math.pi, 0.5)
     assert got.shape == (2, 1)
     assert len(calls) == 1
     assert all(x is y for x, y in zip(calls[0], rule(0.0, math.pi, 0.5)))
     assert abs(got[0, 0]) < 1e-15 and abs(got[1, 0] - 2.0) < 1e-14
 
-
-def test_rows_are_checked():
-    with pytest.raises(ValueError):
-        integrate(exponentials([0.2, 0.5, 0.7]), 0.0, 1.0, rows=4)

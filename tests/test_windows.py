@@ -411,16 +411,6 @@ def test_profile_meta_text_round_trips_as_config():
     assert float(fields["epsilon"]) == spec.epsilon
 
 
-def test_write_profile_creates_files(tmp_path):
-    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
-    prof = W.profile(_pow_curve, spec, k=1, distance="md", jobs=1)
-    csv_path = tmp_path / "profile.csv"
-    meta_path = tmp_path / "profile.meta"
-    W.write_profile(prof, csv_path, meta_path)
-    assert csv_path.read_text() == W.profile_csv_text(prof)
-    assert meta_path.read_text() == W.profile_meta_text(prof)
-
-
 # ----------------------------------------------- XY-chain profile structure
 
 

@@ -19,6 +19,7 @@ from benfordxy.xy_model import (
     magnetization,
     mz_curve,
     observable_curve,
+    tzz_curve,
 )
 
 SHIPPED_WORK_ELEMENTS = xy_model.WORK_ELEMENTS
@@ -37,6 +38,38 @@ def test_params_validation():
         with pytest.raises(ValueError):
             ModelParams(1.0, gamma)
     ModelParams(1.0, -0.5)  # negative anisotropy is allowed
+
+
+#: each public observable function at (gamma, size, **beta_tilde)
+OBSERVABLE_FUNCTIONS = {
+    "mz_curve": lambda g, n, **bt: mz_curve([0.5, 1.0], g, size=n, **bt),
+    "magnetization": lambda g, n, **bt: magnetization(ModelParams(0.5, g, system_size=n, **bt)),
+    "observable_curve": lambda g, n, **bt: observable_curve(ObservableKind("mz"), [0.5, 1.0], g,
+                                                            size=n, **bt),
+    "tzz_curve": lambda g, n: tzz_curve([0.5, 1.0], g, n),
+    "correlator_curve": lambda g, n: correlator_curve(1, [0.5, 1.0], g, n),
+    "correlator_G": lambda g, n: correlator_G(1, 0.5, g, n),
+    "correlators_nn": lambda g, n: correlators_nn(0.5, g, n),
+}
+TAKES_BETA = {"mz_curve", "magnetization", "observable_curve"}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVABLE_FUNCTIONS))
+def test_every_observable_function_refuses_what_the_model_refuses(name):
+    # No function evaluates the excluded XX point, a NaN gamma, an odd or
+    # too small chain or a nonpositive beta_tilde: each reaches the kernel
+    # through ObservableCurve, which refuses them.
+    fn = OBSERVABLE_FUNCTIONS[name]
+    fn(0.5, 40)
+    for gamma, size in ((0.0, 40), (0.0, None), (math.nan, 40), (math.nan, None),
+                        (0.5, 15), (0.5, 2)):
+        with pytest.raises(ValueError):
+            fn(gamma, size)
+    if name in TAKES_BETA:
+        fn(0.5, 40, beta_tilde=3.0)
+        for size in (40, None):
+            with pytest.raises(ValueError, match="beta_tilde"):
+                fn(0.5, size, beta_tilde=-1.0)
 
 
 @pytest.mark.parametrize("size", (40, None))
