@@ -8,7 +8,7 @@ lambda_c^N.  The sizes are then combined through the scaling law
     lambda_c^N = lambda_c + alpha * N**(-q)
 
 either with lambda_c held fixed (log-log linear regression) or with all
-three parameters free (Levenberg-Marquardt, seeded from the fixed-mode
+three parameters free (variable projection, seeded from the fixed-mode
 solution).  A derivative-of-observable baseline (kink of dM_z/dlambda)
 is provided for comparison against the digit-based pipeline.
 """
@@ -169,9 +169,7 @@ def _as_scaling_points(points):
     return sorted(pts)
 
 
-def _fixed_fit(pts, lambda_c: float):
-    n = np.array([p[0] for p in pts], dtype=float)
-    lcn = np.array([p[1] for p in pts])
+def _fixed_fit(n, lcn, lambda_c: float):
     dev = lcn - lambda_c
     if np.any(dev == 0.0):
         raise FitError("a pseudo-critical point equals lambda_c: log transform fails")
@@ -184,21 +182,18 @@ def _fixed_fit(pts, lambda_c: float):
         raise FitError("degenerate log-log regression")
     q = -float(slope)
     alpha = sign * math.exp(float(intercept))
-    dof = len(pts) - 2
-    if dof > 0:
-        rss = float(np.sum((design @ [slope, intercept] - ln_dev) ** 2))
-        var = rss / dof / float(np.sum((ln_n - ln_n.mean()) ** 2))
-        q_stderr = math.sqrt(var)
-    else:
-        q_stderr = 0.0
-    return q, alpha, q_stderr
+    rss = float(np.sum((design @ [slope, intercept] - ln_dev) ** 2))  # n.size >= 3 here
+    var = rss / (n.size - 2) / float(np.sum((ln_n - ln_n.mean()) ** 2))
+    return q, alpha, math.sqrt(var)
 
 
-def _model_residual(pts, lambda_c, alpha, q) -> float:
-    n = np.array([p[0] for p in pts], dtype=float)
-    lcn = np.array([p[1] for p in pts])
-    fit = lambda_c + alpha * n ** (-q)
-    return float(np.sqrt(np.mean((fit - lcn) ** 2)))
+# Free mode: golden section on ln q within LN_Q_BRACKET of the seed's ln q, in
+# the steps (66) that narrow the bracket to LN_Q_TOL.
+LN_Q_BRACKET = 3.0
+LN_Q_TOL = 1e-13
+LN_Q_EDGE = 1e-6  # a minimum nearer an edge is on it: rounding moved it inward
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+LN_Q_STEPS = math.ceil(math.log(LN_Q_TOL / (2.0 * LN_Q_BRACKET)) / math.log(_INV_PHI))
 
 
 def scaling_fit(points, mode: str = "fixed", lambda_c: float = 1.0) -> ScalingResult:
@@ -207,42 +202,45 @@ def scaling_fit(points, mode: str = "fixed", lambda_c: float = 1.0) -> ScalingRe
     mode="fixed": lambda_c is held at the given value and q, alpha come
     from linear regression of ln|lambda_c^N - lambda_c| on ln N (slope -q;
     the sign of alpha is the common sign of the deviations).
-    mode="free": (lambda_c, alpha, q) by nonlinear least squares, seeded
-    with lambda_c at the largest-N pseudo-critical value and alpha, q from
-    the corresponding fixed-mode regression over the remaining sizes.
+    mode="free": (lambda_c, alpha, q) by least squares.  The law is linear in
+    (lambda_c, alpha) at each q, so ln q alone is searched, around the seed:
+    the fixed-mode q of the other sizes, lambda_c held at the largest N's.
     """
     pts = _as_scaling_points(points)
+    n, lcn = np.array(pts, dtype=float).reshape(-1, 2).T
     if mode == "fixed":
         if len(pts) < 3:
             raise ValueError("fixed-mode scaling fit needs >= 3 points")
-        q, alpha, q_stderr = _fixed_fit(pts, lambda_c)
-        residual = _model_residual(pts, lambda_c, alpha, q)
+        q, alpha, q_stderr = _fixed_fit(n, lcn, lambda_c)
+        residual = float(np.sqrt(np.mean((lambda_c + alpha * n ** (-q) - lcn) ** 2)))
         return ScalingResult(tuple(pts), lambda_c, alpha, q, "fixed", residual, q_stderr)
     if mode != "free":
         raise ValueError(f"unknown scaling mode {mode!r}")
     if len(pts) < 4:
         raise ValueError("free-mode scaling fit needs >= 4 points")
-    lc0 = pts[-1][1]
-    q0, alpha0, _ = _fixed_fit(pts[:-1], lc0)
-    n = np.array([p[0] for p in pts], dtype=float)
-    lcn = np.array([p[1] for p in pts])
+    dev = lcn - lcn.mean()  # its residuals round on its own scale, not lambda_c's
 
-    def model(nn, lc, alpha, q):
-        return lc + alpha * nn ** (-q)
+    def project(q):  # least-squares lambda_c, alpha at exponent q, and their rss
+        design = np.column_stack([np.ones_like(n), n ** (-q)])
+        coef = np.linalg.lstsq(design, dev, rcond=None)[0]
+        rss = float(np.sum((design @ coef - dev) ** 2))
+        return float(coef[0] + lcn.mean()), float(coef[1]), rss
 
-    from scipy import optimize  # here only: importing it is most of the CLI's start-up
-
-    try:
-        popt, pcov = optimize.curve_fit(
-            model, n, lcn, p0=[lc0, alpha0, max(q0, 0.1)], maxfev=20000
-        )
-    except RuntimeError as exc:
-        raise FitError(f"free-mode scaling fit did not converge: {exc}") from exc
-    lc, alpha, q = (float(v) for v in popt)
-    var_q = float(pcov[2, 2])
-    q_stderr = math.sqrt(var_q) if math.isfinite(var_q) and var_q >= 0.0 else math.inf
-    residual = _model_residual(pts, lc, alpha, q)
-    return ScalingResult(tuple(pts), lc, alpha, float(q), "free", residual, q_stderr)
+    centre = math.log(max(_fixed_fit(n[:-1], lcn[:-1], lcn[-1])[0], 0.1))
+    a, b = lo, hi = centre - LN_Q_BRACKET, centre + LN_Q_BRACKET
+    for _ in range(LN_Q_STEPS):
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        a, b = (a, d) if project(math.exp(c))[2] <= project(math.exp(d))[2] else (c, b)
+    if min(a - lo, hi - b) < LN_Q_EDGE:
+        raise FitError(f"free-mode scaling fit: the residual falls toward an edge of "
+                       f"the q bracket [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
+    q = math.exp(0.5 * (a + b))
+    lc, alpha, rss = project(q)
+    jac = np.column_stack([np.ones_like(n), n ** (-q), -alpha * n ** (-q) * np.log(n)])
+    # cov = pinv(J^T J) rss / (m - 3), and pinv(J^T J) = pinv(J) pinv(J)^T
+    q_stderr = math.hypot(*np.linalg.pinv(jac)[2]) * math.sqrt(rss / (n.size - 3))
+    residual = math.sqrt(rss / n.size)
+    return ScalingResult(tuple(pts), lc, alpha, q, "free", residual, q_stderr)
 
 
 def derivative_pseudo_critical(observable, fit_window=DEFAULT_FIT_WINDOW,

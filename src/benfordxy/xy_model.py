@@ -105,6 +105,8 @@ class ObservableKind:
     def __post_init__(self):
         if self.name not in _OBSERVABLE_NAMES:
             raise ValueError(f"unknown observable {self.name!r}")
+        if not float(self.r).is_integer():  # refuses nan and inf too
+            raise ValueError(f"correlator offset must be an integer, got {self.r!r}")
 
     @classmethod
     def parse(cls, text: str) -> "ObservableKind":

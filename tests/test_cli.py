@@ -137,14 +137,45 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only by the free-mode scaling fit; at start-up it
-    # would be most of the import time of every command
+    # scipy is a test dependency only; at start-up it would be most of the
+    # import time of every command
     src = os.path.dirname(os.path.dirname(benfordxy.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, benfordxy.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_free_mode_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy fails\n"
+        "from benfordxy import cli, scaling\n"
+        "pts = [(n, 1.0 + 0.5 * n ** -2.0) for n in (8, 12, 16, 24)]\n"
+        "assert abs(scaling.scaling_fit(pts, 'free').q - 2.0) < 1e-6\n"
+        "sys.exit(cli.main(['scaling', '--scaling-mode', 'free', '--n-sites',\n"
+        "    '14,20,30,40', '--epsilon', '1e-2', '--n', '100', '--jobs', '1',\n"
+        f"    '--out', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "scaling.txt").read_text().startswith("mode = free\n")
+
+
+def test_free_fit_on_the_bracket_edge_exits_2(tmp_path, capsys, monkeypatch):
+    # lambda_c^N linear in ln N: the residual falls toward q -> 0
+    pts = [(n, 1.0 + 0.1 * math.log(n)) for n in (14, 20, 24, 30, 34, 40)]
+    monkeypatch.setattr(cli, "_pseudo_criticals", lambda *args: {("mz", 1, "md"): pts})
+    code, out, err = run(["scaling", "--scaling-mode", "free", "--out", str(tmp_path)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[numeric]: free-mode scaling fit: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ------------------------------------------------------------- observables

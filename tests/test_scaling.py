@@ -160,27 +160,79 @@ def test_scaling_fit_fixed_free_agreement():
     assert abs(fixed.q - free.q) <= tol
 
 
+def _noisy_law(rng, sizes=(10, 14, 20, 28, 40, 56)):
+    """Points of a random law with 1% multiplicative noise on the
+    deviations, and the law's q."""
+    alpha = float(rng.uniform(0.1, 2.0))
+    q = float(rng.uniform(1.0, 3.0))
+    noise = 1.0 + 0.01 * rng.standard_normal(len(sizes))
+    return [(n, 1.0 + alpha * n ** (-q) * eta) for n, eta in zip(sizes, noise)], q
+
+
 def test_scaling_fit_noise_recovery():
     """1% multiplicative noise on the deviations moves q by well under 0.1."""
     rng = np.random.default_rng(7)
-    sizes = (10, 14, 20, 28, 40, 56)
     worst = 0.0
     for _ in range(100):
-        alpha = float(rng.uniform(0.1, 2.0))
-        q = float(rng.uniform(1.0, 3.0))
-        noise = 1.0 + 0.01 * rng.standard_normal(len(sizes))
-        pts = [
-            (n, 1.0 + alpha * n ** (-q) * eta) for n, eta in zip(sizes, noise)
-        ]
+        pts, q = _noisy_law(rng)
         fit = sc.scaling_fit(pts, "fixed", 1.0)
         worst = max(worst, abs(fit.q - q))
     assert worst < 0.1
+
+
+def _rss(pts, lambda_c, alpha, q):
+    n, lcn = np.array(pts, dtype=float).T
+    return float(np.sum((lambda_c + alpha * n ** (-q) - lcn) ** 2))
+
+
+def test_free_fit_reaches_the_curve_fit_optimum():
+    """The free-mode fit against scipy's curve_fit from the same seed (the
+    free-mode fit before variable projection): never a larger residual,
+    lambda_c within 1e-8, and q within 2e-6 wherever curve_fit reached the
+    same residual.  On the noisy laws curve_fit sometimes stops early: on
+    30 of these 100 its residual is 1e-9 to 2e-7 higher and its q up to
+    1.7e-5 away, while variable projection's q is within 1e-8 of a
+    50-digit optimum on all 100."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    fixtures = [_law_points(alpha, q) for alpha, q in
+                ((0.5, 2.0), (-0.5, 2.0), (0.31, 1.7), (2.0, 1.0), (0.1, 3.0))]
+    fixtures += [_noisy_law(rng)[0] for _ in range(100)]
+    same_optimum = 0
+    for pts in fixtures:
+        n, lcn = np.array(pts, dtype=float).T
+        seed = sc.scaling_fit(pts[:-1], "fixed", pts[-1][1])
+        (lc, alpha, q), _ = optimize.curve_fit(
+            lambda x, lc, alpha, q: lc + alpha * x ** (-q), n, lcn,
+            p0=[lcn[-1], seed.alpha, max(seed.q, 0.1)], maxfev=20000)
+        fit = sc.scaling_fit(pts, "free")
+        ref, new = _rss(pts, lc, alpha, q), _rss(pts, fit.lambda_c, fit.alpha, fit.q)
+        # an exact law's residuals are rounding: allow 16 ulps of 1 per point
+        assert new <= ref * (1.0 + 1e-9) + len(pts) * (16 * np.finfo(float).eps) ** 2
+        assert fit.lambda_c == pytest.approx(lc, abs=1e-8)
+        if ref <= new * (1.0 + 1e-9):
+            assert fit.q == pytest.approx(q, abs=2e-6)
+            same_optimum += 1
+    assert same_optimum >= len(fixtures) // 2
+
+
+@pytest.mark.parametrize("law", [
+    lambda n: 1.0 + 0.1 * math.log(n),  # linear in ln N: the best q is 0
+    lambda n: 1.0 + n ** -5.0 - (0.01 if n == 48 else 0.0),  # an outlier at the largest N
+], ids=["ln-N", "outlier"])
+def test_free_fit_refuses_a_minimum_on_the_bracket_edge(law):
+    pts = [(n, law(n)) for n in (8, 12, 16, 24, 32, 48)]
+    with pytest.raises(sc.FitError, match="edge of the q bracket"):
+        sc.scaling_fit(pts, "free")
 
 
 def test_scaling_fit_input_validation():
     pts = _law_points(0.5, 2.0)
     with pytest.raises(ValueError):
         sc.scaling_fit(pts[:2], "fixed")  # < 3 points
+    for mode in ("fixed", "free"):  # no point at all: every cubic fit failed
+        with pytest.raises(ValueError, match="needs >= [34] points"):
+            sc.scaling_fit([], mode)
     with pytest.raises(ValueError):
         sc.scaling_fit(pts[:3], "free")  # < 4 points
     with pytest.raises(ValueError):

@@ -189,6 +189,18 @@ def test_kind_parse_and_label():
         ObservableKind.parse("sx")
 
 
+def test_non_integer_correlator_offsets_are_refused():
+    # the mode constants cast offsets to int64, so 1.5 used to read G(1)
+    for r in (1.5, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            ObservableKind("g", r)
+    with pytest.raises(ValueError, match="integer"):
+        correlator_curve(1.5, 0.5, 0.5, 40)
+    assert ObservableKind("g", np.int64(2)) == ObservableKind("g", 2)
+    assert np.array_equal(correlator_curve(np.int64(2), [0.5], 0.5, 40),
+                          correlator_curve(2, [0.5], 0.5, 40))
+
+
 def _pointwise(name, beta_tilde, lams, size):
     """One scalar (one-row) call per field value."""
 
