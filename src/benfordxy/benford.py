@@ -25,18 +25,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 MAX_DEPTH = 4
 
 # Correctly rounded doubles for 10**p, built through exact integer
-# arithmetic (converting an int or Fraction to float rounds exactly
-# once).  numpy's pow ufunc can be an ulp off even at integer exponents,
-# which is enough to misplace a decade boundary.  The companion mask
-# records which entries sit strictly below the true power of ten, which
-# decides the stored digits of a value equal to that boundary double.
+# arithmetic (converting an int to float, and dividing two ints, rounds
+# exactly once).  numpy's pow ufunc can be an ulp off even at integer
+# exponents, which is enough to misplace a decade boundary.  The companion
+# mask records which entries sit strictly below the true power of ten,
+# which decides the stored digits of a value equal to that boundary double.
 _POW_RANGE = 340
 
 
@@ -47,9 +46,10 @@ def _pow10_tables() -> tuple[np.ndarray, np.ndarray]:
         if p > 308:
             vals[i] = math.inf
             continue
-        exact = Fraction(10) ** p
-        vals[i] = float(exact)
-        below[i] = Fraction(vals[i]) < exact
+        v = float(10**p) if p >= 0 else 1 / 10**-p
+        num, den = v.as_integer_ratio()  # v = num / den exactly
+        vals[i] = v
+        below[i] = num < 10**p * den if p >= 0 else num * 10**-p < den
     return vals, below
 
 

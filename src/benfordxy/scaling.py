@@ -160,6 +160,10 @@ class ScalingResult:
 
 
 def _as_scaling_points(points):
+    points = list(points)
+    for n, l in points:  # refused before LAPACK, which reports a NaN on stderr
+        if not (math.isfinite(n) and math.isfinite(l)):
+            raise ValueError(f"scaling point (N, lambda_c^N) = ({n}, {l}) is not finite")
     pts = [(int(n), float(l)) for n, l in points]
     sizes = [n for n, _ in pts]
     if len(set(sizes)) != len(sizes):

@@ -15,6 +15,18 @@ count.  `profile_set` evaluates several (k, distance) combinations from
 one sampling and one digit-key pass per window, which is how the scaling
 pipeline keeps its runtime sane; a joint observable (several observables
 evaluated as rows of one call) shares that sampling across them too.
+
+A block calls the observable on as few field arrays as it can.  When
+(n - 1) epsilon / w is an integer s (to 1e-9), window m's samples are the
+lattice points a + (m s + j) h, h = w / (n - 1), j = 0..n-1, and a block
+evaluates each of its lattice points once, in one call unless its windows
+are far apart (more than _LATTICE_FIELDS points in all).  Otherwise each
+window is sampled by its own `np.linspace`, and consecutive windows are
+concatenated into calls of at most _CALL_FIELDS fields (a wider window is
+a call of its own).  Each window's values are then sliced out of the
+call's result.  So an observable's value at a field must not depend on the
+other fields of the call: `xy_model.ObservableCurve` guarantees it, and an
+elementwise function meets it.
 """
 
 from __future__ import annotations
@@ -30,6 +42,16 @@ import numpy as np
 from . import benford
 
 _BLOCK = 32  # windows per work unit; fixed so partitioning never depends on jobs
+#: most fields of one observable call off the lattice: the N = inf kernel
+#: was fastest at 682-1 000 fields a call, and 4 096 fields or a whole
+#: block of 1e4-sample windows (2.5 MB arrays, which glibc hands back to
+#: the system after each call) was slower
+_CALL_FIELDS = 1024
+#: most fields of one observable call on the lattice, or 2 n when a window
+#: is wider: a block's 31 s + n lattice points are one call whenever
+#: w / epsilon >= 31 (50 at --coarse, 1 000 at --full), while windows
+#: shifted by nearly their width share calls of at most 2 n fields, not 32 n
+_LATTICE_FIELDS = 65536
 #: most windows one sweep may hold (the --full preset has 19 001); a sweep
 #: past it is refused before anything is allocated for its windows
 MAX_WINDOWS = 1_000_000
@@ -123,11 +145,15 @@ def normalize(data) -> np.ndarray:
     return normed
 
 
-def _window_deltas(observable, window, n: int, part_combos) -> list[float]:
+def _evaluate(observable, fields: np.ndarray, parts: int) -> np.ndarray:
+    """The observable at fields, one row per part: shape (parts, fields.size)."""
+    return np.reshape(observable(fields), (parts, fields.size))
+
+
+def _window_deltas(rows, part_combos) -> list[float]:
     """Distances for each part's (k, distance) combos, in order, from one
-    window of n samples: one evaluation of the observable, then one
-    normalization and one digit-key pass per part (row of its values)."""
-    rows = np.reshape(observable(np.linspace(*window, n)), (len(part_combos), n))
+    window's values (one row per part): one normalization and one
+    digit-key pass per part."""
     deltas = []
     for values, combos in zip(rows, part_combos):
         normed = normalize(values)
@@ -139,7 +165,8 @@ def _window_deltas(observable, window, n: int, part_combos) -> list[float]:
 def window_violation(observable, window, n: int, k: int, distance: str) -> float:
     """Distance of one window's normalized samples from the Benford law."""
     _check_distance(distance)
-    return _window_deltas(observable, window, n, [[(k, distance)]])[0]
+    rows = _evaluate(observable, np.linspace(*window, n), 1)
+    return _window_deltas(rows, [[(k, distance)]])[0]
 
 
 def _check_distance(distance: str):
@@ -178,13 +205,39 @@ class ViolationProfile:
         return np.column_stack((self.lambdas, self.deltas))
 
 
+def _lattice_step(spec: WindowSpec) -> int | None:
+    """s when (n - 1) epsilon / w is an integer s >= 1 to within 1e-9, so
+    that window m's samples are the lattice points a + (m s + j) w / (n - 1);
+    None for any other geometry."""
+    ratio = (spec.n - 1) * spec.epsilon / spec.w
+    s = round(ratio)
+    return s if s >= 1 and abs(ratio - s) <= 1e-9 else None
+
+
 def _eval_block(observable, spec: WindowSpec, start: int, stop: int, part_combos):
     """Distances for windows start..stop-1; shape (stop-start, combos of all
-    parts)."""
-    return np.array([
-        _window_deltas(observable, _window(spec, m), spec.n, part_combos)
-        for m in range(start, stop)
-    ])
+    parts).  The windows go to the observable in runs of consecutive
+    windows, one call per run: on a lattice geometry a run's lattice points,
+    each once (a whole block unless the windows are far apart), otherwise
+    each window's own linspace, at most _CALL_FIELDS fields a run."""
+    n, parts = spec.n, len(part_combos)
+    s = _lattice_step(spec)
+    if s is None:
+        per_call = max(1, _CALL_FIELDS // n)
+    else:
+        per_call = 1 + (max(_LATTICE_FIELDS, 2 * n) - n) // s
+    deltas = []
+    for lo in range(start, stop, per_call):
+        hi = min(lo + per_call, stop)
+        if s is None:
+            fields = np.concatenate([np.linspace(*_window(spec, m), n) for m in range(lo, hi)])
+            offsets = range(0, fields.size, n)
+        else:
+            fields = spec.a + np.arange(lo * s, (hi - 1) * s + n) * (spec.w / (n - 1))
+            offsets = range(0, (hi - lo) * s, s)
+        values = _evaluate(observable, fields, parts)
+        deltas += [_window_deltas(values[:, i : i + n], part_combos) for i in offsets]
+    return np.array(deltas)
 
 
 def _meta_for(observable, spec: WindowSpec, k: int, distance: str) -> ProfileMeta:
@@ -213,6 +266,11 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     Each window is sampled once, and each part's row normalized and
     digit-keyed once, at the deepest k; shallower depths are folded from
     that histogram (`benford.key_histograms`).
+
+    The observable is called on the fields of several windows at once (a
+    block's lattice points, or a run of consecutive windows; see the
+    module docstring), so its value at a field must not depend on the
+    other fields of the call.
     """
     parts = getattr(observable, "parts", (observable,))
     distances = list(distances)

@@ -124,7 +124,7 @@ class ObservableKind:
 def _energy(d, s2, out=None):
     """Quasiparticle energy sqrt(s2 + d*d) from d = cos phi - lam and
     s2 = (gamma sin phi)^2, written into out when given."""
-    energy = np.multiply(d, d, out=out)
+    energy = np.square(d, out=out)
     energy += s2
     return np.sqrt(energy, out=out)
 

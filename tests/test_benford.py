@@ -80,6 +80,20 @@ def _decimal_neighbours(k: int) -> np.ndarray:
                            np.nextafter(above, np.inf)])
 
 
+def test_pow10_tables_match_exact_powers():
+    # Each entry is 10**p correctly rounded (inf past the largest double),
+    # and the mask marks the entries strictly below the exact power.
+    origin = benford._POW_RANGE
+    assert origin == 340
+    for p in range(-origin, origin + 1):
+        exact = Fraction(10) ** p
+        value = float(exact) if p <= 308 else math.inf
+        got = benford._POW10[p + origin]
+        assert got == value, p
+        below = value < math.inf and Fraction(value) < exact
+        assert benford._POW10_BELOW[p + origin] == below, p
+
+
 def test_fast_keys_equal_exact_keys():
     # digit_keys settles most values on its fast path and hands the rest
     # to the exact path; its keys must be the exact path's on every value

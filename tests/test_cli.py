@@ -147,6 +147,17 @@ def test_cli_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_cli_import_loads_no_fractions():
+    # benford's power-of-ten tables are built from int arithmetic alone;
+    # fractions (and the decimal it imports) cost about 4 ms per process
+    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, benfordxy.cli; print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_free_mode_runs_without_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(benfordxy.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -245,6 +245,18 @@ def test_scaling_fit_input_validation():
         sc.scaling_fit([(8, 1.0), (16, 1.1), (32, 1.2)], "fixed", 1.0)  # zero dev
 
 
+@pytest.mark.parametrize("mode", ["fixed", "free"])
+@pytest.mark.parametrize("bad", [(12, math.nan), (12, math.inf), (math.nan, 1.05)])
+def test_scaling_fit_refuses_non_finite_points(mode, bad, capfd):
+    # Refused by name before any LAPACK call: a NaN reaching lstsq prints
+    # DLASCL lines on stderr, then fails as q = nan or LinAlgError.
+    pts = [(8, 1.1), bad, (16, 1.02), (24, 1.01), (32, 1.005)]
+    with pytest.raises(ValueError, match=r"scaling point .* is not finite") as info:
+        sc.scaling_fit(pts, mode)
+    assert f"({bad[0]}, {bad[1]})" in str(info.value)
+    assert capfd.readouterr().err == ""
+
+
 def test_scaling_fit_rejects_nonpositive_exponent():
     # deviations growing with N imply q < 0, which the law cannot describe
     pts = [(8, 1.8), (16, 2.6), (32, 4.2), (64, 7.4)]
