@@ -16,11 +16,7 @@ one sampling and one digit-key pass per window, which is how the scaling
 pipeline keeps its runtime sane; a joint observable (several observables
 evaluated as rows of one call) shares that sampling across them too.
 
-A block calls the observable on as few field arrays as it can.  When
-(n - 1) epsilon / w is an integer s (to 1e-9), window m's samples are the
-lattice points a + (m s + j) h, h = w / (n - 1), j = 0..n-1, and a block
-evaluates each of its lattice points once, in one call unless its windows
-are far apart (more than _LATTICE_FIELDS points in all).  Otherwise each
+A block calls the observable on as few field arrays as it can: each
 window is sampled by its own `np.linspace`, and consecutive windows are
 concatenated into calls of at most _CALL_FIELDS fields (a wider window is
 a call of its own).  Each window's values are then sliced out of the
@@ -42,16 +38,11 @@ import numpy as np
 from . import benford
 
 _BLOCK = 32  # windows per work unit; fixed so partitioning never depends on jobs
-#: most fields of one observable call off the lattice: the N = inf kernel
-#: was fastest at 682-1 000 fields a call, and 4 096 fields or a whole
-#: block of 1e4-sample windows (2.5 MB arrays, which glibc hands back to
-#: the system after each call) was slower
+#: most fields of one observable call: the N = inf kernel was fastest at
+#: 682-1 000 fields a call, and 4 096 fields or a whole block of 1e4-sample
+#: windows (2.5 MB arrays, which glibc hands back to the system after each
+#: call) was slower
 _CALL_FIELDS = 1024
-#: most fields of one observable call on the lattice, or 2 n when a window
-#: is wider: a block's 31 s + n lattice points are one call whenever
-#: w / epsilon >= 31 (50 at --coarse, 1 000 at --full), while windows
-#: shifted by nearly their width share calls of at most 2 n fields, not 32 n
-_LATTICE_FIELDS = 65536
 #: most windows one sweep may hold (the --full preset has 19 001); a sweep
 #: past it is refused before anything is allocated for its windows
 MAX_WINDOWS = 1_000_000
@@ -163,7 +154,8 @@ def _window_deltas(rows, part_combos) -> list[float]:
 
 
 def window_violation(observable, window, n: int, k: int, distance: str) -> float:
-    """Distance of one window's normalized samples from the Benford law."""
+    """Distance of one window's normalized samples from the Benford law:
+    the linspace sampling, so the bits of that window's `profile` entry."""
     _check_distance(distance)
     rows = _evaluate(observable, np.linspace(*window, n), 1)
     return _window_deltas(rows, [[(k, distance)]])[0]
@@ -205,38 +197,20 @@ class ViolationProfile:
         return np.column_stack((self.lambdas, self.deltas))
 
 
-def _lattice_step(spec: WindowSpec) -> int | None:
-    """s when (n - 1) epsilon / w is an integer s >= 1 to within 1e-9, so
-    that window m's samples are the lattice points a + (m s + j) w / (n - 1);
-    None for any other geometry."""
-    ratio = (spec.n - 1) * spec.epsilon / spec.w
-    s = round(ratio)
-    return s if s >= 1 and abs(ratio - s) <= 1e-9 else None
-
-
 def _eval_block(observable, spec: WindowSpec, start: int, stop: int, part_combos):
     """Distances for windows start..stop-1; shape (stop-start, combos of all
-    parts).  The windows go to the observable in runs of consecutive
-    windows, one call per run: on a lattice geometry a run's lattice points,
-    each once (a whole block unless the windows are far apart), otherwise
-    each window's own linspace, at most _CALL_FIELDS fields a run."""
+    parts).  Runs of consecutive windows go to the observable in one call
+    each, every window its own linspace, at most _CALL_FIELDS fields a run
+    (a wider window is a run of its own)."""
     n, parts = spec.n, len(part_combos)
-    s = _lattice_step(spec)
-    if s is None:
-        per_call = max(1, _CALL_FIELDS // n)
-    else:
-        per_call = 1 + (max(_LATTICE_FIELDS, 2 * n) - n) // s
+    per_call = max(1, _CALL_FIELDS // n)
     deltas = []
     for lo in range(start, stop, per_call):
         hi = min(lo + per_call, stop)
-        if s is None:
-            fields = np.concatenate([np.linspace(*_window(spec, m), n) for m in range(lo, hi)])
-            offsets = range(0, fields.size, n)
-        else:
-            fields = spec.a + np.arange(lo * s, (hi - 1) * s + n) * (spec.w / (n - 1))
-            offsets = range(0, (hi - lo) * s, s)
+        fields = np.concatenate([np.linspace(*_window(spec, m), n) for m in range(lo, hi)])
         values = _evaluate(observable, fields, parts)
-        deltas += [_window_deltas(values[:, i : i + n], part_combos) for i in offsets]
+        deltas += [_window_deltas(values[:, i : i + n], part_combos)
+                   for i in range(0, fields.size, n)]
     return np.array(deltas)
 
 
@@ -267,10 +241,9 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     digit-keyed once, at the deepest k; shallower depths are folded from
     that histogram (`benford.key_histograms`).
 
-    The observable is called on the fields of several windows at once (a
-    block's lattice points, or a run of consecutive windows; see the
-    module docstring), so its value at a field must not depend on the
-    other fields of the call.
+    The observable is called on the fields of a run of consecutive windows
+    at once (see the module docstring), so its value at a field must not
+    depend on the other fields of the call.
     """
     parts = getattr(observable, "parts", (observable,))
     distances = list(distances)

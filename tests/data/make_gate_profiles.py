@@ -1,9 +1,9 @@
 """Write the reference profiles of the tolerance gate (tests/gate.py).
 
 Run from the repository root, with the code whose outputs become the
-reference, naming the slices to write (all when none is named):
+reference, naming the slices to write (both when none is named):
 
-    PYTHONPATH=src python tests/data/make_gate_profiles.py [inf] [finite] [lattice]
+    PYTHONPATH=src python tests/data/make_gate_profiles.py [inf] [finite]
 
 Each slice's file holds, for the joint M_z + T_xx curve at gamma = 0.5,
 each window's midpoint and, per observable and (k, distance), every
@@ -13,10 +13,7 @@ window's delta (k = 1..4 x md/sd/bd) and lambda_c^N of the cubic fit:
   n = 200: 61 windows);
 - finite_profiles.json: N = 14, 20 and 40 over [0.5, 1.5] (w = 0.05,
   epsilon = 5e-3, n = 2 500: 191 windows each), and q of the fixed-mode
-  scaling fit of the three lambda_c^N;
-- lattice_profiles.json: the finite slice at n = 2 501, a lattice geometry
-  ((n - 1) epsilon / w = 250), written by the per-window sampling (one
-  linspace per window) that preceded the shared lattice.
+  scaling fit of the three lambda_c^N.
 
 Floats are written with repr, so they read back bit for bit.  A slice's
 reference is rewritten only at the parent of a change that moves its bits.

@@ -10,10 +10,7 @@ tests/data/make_gate_profiles.py:
 - finite N (finite_profiles.json): N = 14, 20 and 40, 191 windows each
   (w = 0.05, epsilon = 5e-3, n = 2 500 over [0.5, 1.5]), and q of the
   fixed-mode scaling fit of the three lambda_c^N per observable and
-  (k, distance);
-- the lattice (lattice_profiles.json): the finite slice at n = 2 501, where
-  (n - 1) epsilon / w = 250 is an integer, so that the windows' samples are
-  points of one lattice a + i w / (n - 1) that a block of windows shares.
+  (k, distance).
 
 Per profile set, observable and (k, distance) the gate requires:
 
@@ -47,7 +44,6 @@ DISTANCES = ("md", "sd", "bd")
 SLICES = {
     "inf": ("inf_profiles.json", WindowSpec(0.8, 1.2, 0.1, 0.005, 200), None),
     "finite": ("finite_profiles.json", WindowSpec(0.5, 1.5, 0.05, 5e-3, 2500), (14, 20, 40)),
-    "lattice": ("lattice_profiles.json", WindowSpec(0.5, 1.5, 0.05, 5e-3, 2501), (14, 20, 40)),
 }
 #: share of windows whose delta may move, and how far (relative)
 MOVED_SHARE = 0.02

@@ -138,21 +138,13 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; at start-up it would be most of the
-    # import time of every command
+    # import time of every command.  benford's power-of-ten tables are built
+    # from int arithmetic, so fractions (and the decimal it imports, about
+    # 4 ms per process) stay unloaded too
     src = os.path.dirname(os.path.dirname(benfordxy.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, benfordxy.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
-
-
-def test_cli_import_loads_no_fractions():
-    # benford's power-of-ten tables are built from int arithmetic alone;
-    # fractions (and the decimal it imports) cost about 4 ms per process
-    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, benfordxy.cli; print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    code = ("import sys, benfordxy.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy') or m in ('fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

@@ -1,7 +1,6 @@
-"""Finite-N slices of the tolerance gate (tests/gate.py): joint M_z + T_xx
+"""Finite-N slice of the tolerance gate (tests/gate.py): joint M_z + T_xx
 profiles at N = 14, 20 and 40 on 191 windows each, and q of their
-fixed-mode scaling fits, against tests/data/finite_profiles.json, and on
-the lattice geometry n = 2 501 against tests/data/lattice_profiles.json."""
+fixed-mode scaling fits, against tests/data/finite_profiles.json."""
 
 import json
 
@@ -53,9 +52,3 @@ def test_finite_gate_refuses_moved_science():
     assert planted(shift_lambda_c)
     assert planted(shift_q)
     assert planted(drop_q)
-
-
-def test_lattice_profiles_within_gate():
-    # The finite slice at n = 2 501 samples each window on the lattice its
-    # block shares; the reference was written by per-window linspace samples.
-    assert finite_mismatches(load("lattice"), reference_profiles("lattice")) == []

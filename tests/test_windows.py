@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from benfordxy import benford, cli
+from benfordxy import benford
 from benfordxy import windows as W
 from benfordxy.cli import CONVERGED_N
 from benfordxy.xy_model import ObservableCurve, ObservableKind
@@ -372,53 +372,9 @@ def _blocks(spec):
     return [(s, min(s + W._BLOCK, spec.count)) for s in range(0, spec.count, W._BLOCK)]
 
 
-def _lattice(spec, start, stop, s):
-    """Window start..stop-1's lattice points a + i h, h = w / (n - 1)."""
-    return spec.a + np.arange(start * s, (stop - 1) * s + spec.n) * (spec.w / (spec.n - 1))
-
-
-LATTICE_SPEC = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 201)  # (n - 1) eps / w = 40
-
-
-@pytest.mark.parametrize("epsilon,n,step", [
-    (1e-2, 201, 40), (5e-3, 2501, 250), (1e-3, 10001, 200),
-    (1e-2, 200, None), (1e-2, 202, None), (5e-3, 2500, None), (1e-3, 10000, None),
-])
-def test_lattice_step_needs_an_integer_window_shift(epsilon, n, step):
-    assert W._lattice_step(W.WindowSpec(0.5, 1.5, 0.05, epsilon, n)) == step
-
-
-def test_lattice_points_are_evaluated_once_per_block():
-    curve = _CountingCurve()
-    W.profile_set(curve, LATTICE_SPEC, (1, 2), [("md",)], jobs=1)
-    blocks = _blocks(LATTICE_SPEC)
-    assert len(blocks) == 3 and len(curve.calls) == len(blocks)
-    for (start, stop), fields in zip(blocks, curve.calls):
-        want = _lattice(LATTICE_SPEC, start, stop, 40)
-        assert fields.tobytes() == want.tobytes()  # every point once, in order
-    # 96 windows: 3 x 1 441 fields, against 96 x 201 sampled window by window
-    assert sum(f.size for f in curve.calls) == 3 * (31 * 40 + 201)
-
-
-def test_far_apart_lattice_windows_share_bounded_calls(monkeypatch):
-    # with room for 8 windows' lattice points (7 s + n <= 500 < 31 s + n), a
-    # block is 4 calls, and every window keeps the bits of one whole-block call
-    (whole,) = W.profile_set(_cubic_curve, LATTICE_SPEC, (1, 2), [("md",)], jobs=1)
-    monkeypatch.setattr(W, "_LATTICE_FIELDS", 500)
-    curve = _CountingCurve()
-    (split,) = W.profile_set(curve, LATTICE_SPEC, (1, 2), [("md",)], jobs=1)
-    starts = [lo for s, t in _blocks(LATTICE_SPEC) for lo in range(s, t, 8)]
-    assert len(curve.calls) == len(starts) == 12
-    for lo, fields in zip(starts, curve.calls):
-        assert fields.tobytes() == _lattice(LATTICE_SPEC, lo, lo + 8, 40).tobytes()
-    for key in whole:
-        assert _same_bits(whole[key], split[key])
-
-
 @pytest.mark.parametrize("n", [200, 1000, 1500])
-def test_windows_off_the_lattice_share_calls_within_the_budget(n):
+def test_windows_share_calls_within_the_budget(n):
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, n)
-    assert W._lattice_step(spec) is None
     curve = _CountingCurve()
     W.profile_set(curve, spec, (1,), [("md",)], jobs=1)
     fields = np.concatenate(curve.calls)
@@ -433,37 +389,18 @@ def test_windows_off_the_lattice_share_calls_within_the_budget(n):
 
 @pytest.mark.parametrize("curve", [_pow_curve, _cubic_curve, xy_curve("mz", 14)])
 def test_shared_calls_keep_per_window_bits(curve):
-    """Each window gets the bits of a call of its own, on and off the
-    lattice, at every (k, distance)."""
-    for spec in (W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200), LATTICE_SPEC):
-        s = W._lattice_step(spec)
-        for (k, d), prof in W.profile_set(curve, spec, (1, 2, 3), [("md", "sd", "bd")],
-                                          jobs=1)[0].items():
-            want = []
-            for m, window in enumerate(W.windows(spec)):
-                if s is None:
-                    want.append(W.window_violation(curve, window, spec.n, k, d))
-                else:
-                    values = curve(_lattice(spec, m, m + 1, s))
-                    want.append(W._window_deltas(values[None], [[(k, d)]])[0])
-            assert prof.deltas.tobytes() == np.array(want).tobytes(), (spec, k, d)
+    """Each window gets the bits of a call of its own, at every (k, distance)."""
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
+    for (k, d), prof in W.profile_set(curve, spec, (1, 2, 3), [("md", "sd", "bd")],
+                                      jobs=1)[0].items():
+        want = [W.window_violation(curve, window, spec.n, k, d) for window in W.windows(spec)]
+        assert prof.deltas.tobytes() == np.array(want).tobytes(), (k, d)
 
 
-def test_lattice_profile_bit_identical_across_jobs(tmp_path, capsys):
-    base = ["profile", "--observable", "mz", "--n-sites", "14", "--a", "0.5", "--b", "1.5",
-            "--w", "0.05", "--epsilon", "1e-2", "--n", "201"]
-    outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / jobs
-        assert cli.main(base + ["--jobs", jobs, "--out", str(out)]) == 0
-        outs.append([(out / name).read_bytes() for name in ("profile.csv", "profile.meta")])
-    capsys.readouterr()
-    assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("spec", [W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 100), LATTICE_SPEC])
-def test_shared_calls_keep_window_errors(spec):
+def test_shared_calls_keep_window_errors():
     # a bad window is named by the same error whichever call it shares
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 100)
+
     def nan_above_one(lams):
         return np.where(lams > 1.0, math.nan, lams)
 
