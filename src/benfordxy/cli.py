@@ -145,7 +145,7 @@ class RunConfig:
                                  choices=("fixed", "free"))
     lambda_c: float = _setting(1.0, float, "lambda_c held by the fixed-mode fit")
     out: str = _setting(".", str, "output directory")
-    jobs: int = _setting(0, int, "parallel workers (0: all cores)")
+    jobs: int = _setting(0, int, "parallel workers (0: all usable cores)")
     emit_plot: bool = _setting(False, _parse_bool, "also write a gnuplot script",
                                action="store_true")
 
@@ -233,7 +233,7 @@ def resolve_config(args) -> RunConfig:
         if "choices" in meta and val not in meta["choices"]:
             raise UsageError(f"{name} must be one of {meta['choices']}, got {val!r}")
     if cfg.jobs < 0:
-        raise UsageError(f"jobs must be >= 0 (0 = all cores), got {cfg.jobs}")
+        raise UsageError(f"jobs must be >= 0 (0 = all usable cores), got {cfg.jobs}")
     try:
         ObservableKind.parse(cfg.observable)  # validate early
     except ValueError as exc:

@@ -377,4 +377,8 @@ def profile_meta_text(prof: ViolationProfile) -> str:
 
 
 def default_jobs() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one), not every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

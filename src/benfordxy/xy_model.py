@@ -21,11 +21,14 @@ is (a_r - b_r d)/L with a_r = gamma sin(r phi) sin phi and b_r =
 cos(r phi).  cos phi, s2, a_r and b_r depend only on the modes, so they
 are computed once per (size, gamma, offsets) at finite N and once per call
 at N = inf, and every term of a call comes from one L per (field, mode).
-|gamma| is at most MAX_GAMMA = 1e150, so s2 never overflows.  At N = inf
-each term also carries its node's weight / pi.  A term is 0 where L = 0.
-That guard runs only when s2 = 0 at some mode (otherwise L >= sqrt(s2) >
-0): as every quadrature node is inside (0, pi), only when s2 underflows,
-at finite N when (gamma sin(pi))^2 does, i.e. |gamma| below about 1e-146.
+|gamma| is at most MAX_GAMMA = 1e150, so s2 never overflows; it is floored
+at the smallest positive double, so L > 0 at every mode and field and no
+term divides by zero.  The floor replaces only an s2 that underflowed to
+0, and moves no other bit: a nonzero d between two doubles is at least
+about 1e-32, so d*d dwarfs it.  At finite N, sin phi is exactly 0 at
+phi_{N/2} = pi (not the double sin(pi) = 1.2e-16), so that mode's terms
+are [tanh(bt*L/2)] sign(d) and -cos(r phi) sign(d), exact at every gamma.
+At N = inf each term also carries its node's weight / pi.
 
 The mode sum adds each field's terms in an order set by the mode count m
 alone: a halving fold per slab of at most SLAB modes, the slab sums added
@@ -138,48 +141,43 @@ def dispersion(phi, lam, gamma):
     return _energy(np.cos(phi) - lam, s * s)
 
 
-@functools.cache
-def _momenta(size: int) -> np.ndarray:
-    """The momenta phi_p = 2 pi p/N, p = 1..N/2, as a read-only column."""
-    phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
-    phi.flags.writeable = False
-    return phi[:, None]
-
-
 @dataclass(frozen=True)
 class _Modes:
     """Field-independent constants of one call at its modes phi (the momenta
-    at finite N, the quadrature nodes at N = inf): cos phi, s2 =
-    (gamma sin phi)^2 and, stacked on a leading axis with one entry per G
-    offset r, a = gamma sin(r phi) sin phi and b = cos(r phi).  guard is
-    False when s2 > 0 at every mode: then Lambda >= sqrt(s2) > 0 for every
-    field, and no zero energy is possible.  weight is None at finite N; at
-    N = inf each node's weight / pi, which a carries and `_terms` multiplies
-    into d = cos phi - lam once L is computed: so it weights every term."""
+    at finite N, the quadrature nodes at N = inf), given with their sines:
+    cos phi, s2 = (gamma sin phi)^2 floored at the smallest positive double
+    (so Lambda >= sqrt(s2) > 0 for every field) and, stacked on a leading
+    axis with one entry per G offset r, a = gamma sin(r phi) sin phi and
+    b = cos(r phi).  weight is None at finite N; at N = inf each node's
+    weight / pi, which a carries and `_terms` multiplies into d = cos phi -
+    lam once L is computed: so it weights every term."""
 
     cos: np.ndarray
     s2: np.ndarray
-    guard: bool
     a: np.ndarray
     b: np.ndarray
     weight: np.ndarray | None = None
 
     @classmethod
-    def at(cls, phi, gamma, offsets, weight=None):
-        s = gamma * np.sin(phi)
-        s2 = s * s
+    def at(cls, phi, sin, gamma, offsets, weight=None):
+        s2 = np.square(gamma * sin)
+        np.maximum(s2, np.finfo(float).smallest_subnormal, out=s2)
         r = np.array(offsets, dtype=np.int64).reshape(-1, 1, 1)  # phi is a column
-        a = gamma * np.sin(r * phi) * np.sin(phi)
+        a = gamma * np.sin(r * phi) * sin
         if weight is not None:
             a *= weight
-        return cls(np.cos(phi), s2, not (s2 > 0.0).all(), a, np.cos(r * phi), weight)
+        return cls(np.cos(phi), s2, a, np.cos(r * phi), weight)
 
 
 @functools.lru_cache(maxsize=16)
 def _momentum_modes(size: int, gamma, offsets: tuple) -> _Modes:
-    """Read-only `_Modes` at the momenta of a size-N chain, built once per
-    (size, gamma, offsets) rather than once per call."""
-    modes = _Modes.at(_momenta(size), gamma, offsets)
+    """Read-only `_Modes` at the momenta phi_p = 2 pi p/N, p = 1..N/2, of a
+    size-N chain, with sin phi_{N/2} = 0 exactly; built once per (size,
+    gamma, offsets) rather than once per call."""
+    phi = (2.0 * np.pi * np.arange(1, size // 2 + 1) / size)[:, None]
+    sin = np.sin(phi)
+    sin[-1] = 0.0  # phi_{N/2} = pi, whose double's sine is 1.2e-16, not 0
+    modes = _Modes.at(phi, sin, gamma, offsets)
     for arr in (modes.cos, modes.s2, modes.a, modes.b):
         arr.flags.writeable = False
     return modes
@@ -193,17 +191,13 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows, work):
     (cos phi - lam)]/L per offset; each times the mode's weight when
     modes.weight is set.
 
-    Every term shares d = cos phi - lam and L = sqrt(s2 + d*d); a term is 0
-    where L is 0 (only when modes.guard).  work holds the d, L and terms
-    arrays they are written into; the terms are returned.
+    Every term shares d = cos phi - lam and L = sqrt(s2 + d*d), which is
+    positive since s2 is (`_Modes`).  work holds the d, L and terms arrays
+    they are written into; the terms are returned.
     """
     d_out, energy_out, out = work
     d = np.subtract(modes.cos[rows], lam, out=d_out)
     energy = _energy(d, modes.s2[rows], out=energy_out)
-    zero = None
-    if modes.guard:
-        zero = energy == 0.0
-        np.copyto(energy, 1.0, where=zero)  # the terms there are set to 0 below
     if modes.weight is not None:
         d *= modes.weight[rows]
     if with_mz:
@@ -219,8 +213,6 @@ def _terms(modes: _Modes, lam, beta_tilde, with_mz, rows, work):
         np.multiply(modes.b[:, rows], d, out=g)
         np.subtract(modes.a[:, rows], g, out=g)
         g /= energy
-    if zero is not None:
-        np.copyto(out, 0.0, where=zero)
     return out
 
 
@@ -298,7 +290,7 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
 
         def weighted_sums(nodes_weights):
             nodes, weights = (x[:, None] for x in nodes_weights)
-            modes = _Modes.at(nodes, gamma, offsets, weights / math.pi)
+            modes = _Modes.at(nodes, np.sin(nodes), gamma, offsets, weights / math.pi)
             return _chunked_mode_sums(modes, flat, beta_tilde, with_mz)
 
         out = integrate(weighted_sums, 0.0, math.pi, _rule_width(gamma, offsets))

@@ -1,5 +1,6 @@
 """Unit tests for sliding-window geometry, normalization, and profiles."""
 
+import dataclasses
 import math
 from concurrent.futures import Future
 
@@ -258,11 +259,21 @@ def test_profile_set_consistent_with_single_profiles():
             assert _same_bits(prof, single)
 
 
+def _violations(curve, spec, k, distance, picks=None):
+    """Each picked window's (all by default) `window_violation`: one call of
+    its own, so no window can read another's values."""
+    windows = W.windows(spec)
+    picks = range(len(windows)) if picks is None else picks
+    return np.array([W.window_violation(curve, windows[m], spec.n, k, distance) for m in picks])
+
+
 def test_window_violation_matches_profile_entry():
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 500)
-    prof = W.profile(_pow_curve, spec, k=2, distance="sd", jobs=1)
-    first = W.window_violation(_pow_curve, W.windows(spec)[0], spec.n, 2, "sd")
-    assert first == prof.points[0][1]
+    prof = W.profile(_cubic_curve, spec, k=2, distance="sd", jobs=1)
+    assert np.unique(prof.deltas).size > 1
+    picks = (0, spec.count // 2, spec.count - 1)
+    want = _violations(_cubic_curve, spec, 2, "sd", picks)
+    assert prof.deltas[list(picks)].tobytes() == want.tobytes()
 
 
 def test_parallel_profiles_bit_identical():
@@ -348,10 +359,30 @@ def test_profile_set_clamps_workers(monkeypatch, jobs, cores, workers):
     monkeypatch.setattr(W, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(W, "default_jobs", lambda: cores)
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)  # 96 windows, 3 blocks
-    (got,) = W.profile_set(_pow_curve, spec, (1,), [("md",)], jobs=jobs)
+    (got,) = W.profile_set(_cubic_curve, spec, (1,), [("md",)], jobs=jobs)
     assert _InlinePool.started == ([] if workers is None else [workers])
-    (serial,) = W.profile_set(_pow_curve, spec, (1,), [("md",)], jobs=1)
+    (serial,) = W.profile_set(_cubic_curve, spec, (1,), [("md",)], jobs=1)
     assert _same_bits(got[(1, "md")], serial[(1, "md")])
+    deltas = serial[(1, "md")].deltas
+    assert np.unique(deltas).size > 1
+    assert deltas.tobytes() == _violations(_cubic_curve, spec, 1, "md").tobytes()
+
+
+def test_default_jobs_counts_the_affinity_mask(monkeypatch):
+    """Under a one-core affinity mask on a larger host, the default is one
+    worker and no pool; without a mask, every CPU of the host."""
+    _InlinePool.started = []
+    monkeypatch.setattr(W, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(W.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(W.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert W.default_jobs() == 1
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)  # 3 blocks
+    W.profile_set(_cubic_curve, spec, (1,), [("md",)], jobs=10_000)
+    assert _InlinePool.started == []
+    monkeypatch.delattr(W.os, "sched_getaffinity")
+    assert W.default_jobs() == 8
+    monkeypatch.setattr(W.os, "cpu_count", lambda: None)
+    assert W.default_jobs() == 1
 
 
 # ------------------------------------------------------ block evaluation
@@ -430,6 +461,19 @@ def test_convergence_check_stable_curve_stops_at_n0():
     assert res.deviation < 0.01
     assert res.history[0][0] == 2500
     assert res.history[-1] == (res.n, res.deviation)
+
+
+def test_convergence_check_profile_is_the_profile_at_n():
+    # windows that differ after normalizing, five to a call at n = 200: the
+    # converged profile is that of n, window by window
+    spec = W.WindowSpec(0.5, 1.5, 0.05, 2e-2, 1000)
+    curve = xy_curve("mz", 14)
+    res = W.convergence_check(curve, spec, 1, "md", tolerance=0.05, n0=100, max_n=4000)
+    assert res.n == 200 and len(res.history) == 2
+    at_n = dataclasses.replace(spec, n=res.n)
+    assert _same_bits(res.profile, W.profile(curve, at_n, 1, "md"))
+    assert np.unique(res.profile.deltas).size > 1
+    assert res.profile.deltas.tobytes() == _violations(curve, at_n, 1, "md").tobytes()
 
 
 def test_convergence_check_budget_exhaustion():

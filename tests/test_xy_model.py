@@ -85,16 +85,54 @@ def test_gamma_beyond_the_squared_range_is_refused(size):
         with pytest.raises(ValueError, match="gamma"):
             correlator_curve(-1, [0.5], gamma, size)
     # at the largest accepted |gamma| the G(-1) term is -sign(gamma) sin(phi)
-    # but within 1e-150 of phi = pi (at finite N, the double sin(pi) keeps
-    # the phi = pi mode from being that exception)
+    # but within 1e-150 of phi = pi; at finite N the phi = pi mode, whose
+    # sine is exactly 0, has the term -cos(-pi) d/|d| = -1 (d = -1.5)
     for gamma in (xy_model.MAX_GAMMA, -xy_model.MAX_GAMMA):
         ModelParams(0.5, gamma, system_size=size)
-        value = -math.copysign(1.0, gamma) * ObservableCurve(txx, gamma, size=size)([0.5])[0]
+        sign = math.copysign(1.0, gamma)
+        value = -sign * ObservableCurve(txx, gamma, size=size)([0.5])[0]
         if size is None:
             assert abs(value - 2.0 / math.pi) < 1e-12
         else:
-            phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
-            assert abs(value - 2.0 / size * np.sin(phi).sum()) < 1e-12
+            phi = 2.0 * np.pi * np.arange(1, size // 2) / size
+            assert abs(value - 2.0 / size * (np.sin(phi).sum() + sign)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", (1e14, 1e17, 1e20))
+def test_large_gamma_keeps_the_pi_mode_exact(gamma):
+    # At |gamma| above about 1e15 the double sin(pi) = 1.2e-16 made the
+    # phi = pi mode's energy |gamma| 1.2e-16 instead of |cos pi - lam|: at
+    # N = 40, lam = 0.5, M_z read 0.0061 at 1e17 and 6e-6 at 1e20.  Every
+    # other mode's M_z term is 0 to within 1e-14 there, so M_z is the
+    # phi = pi term (2/N) sign(lam - cos pi) = 2/N, and T_xx the sine sum
+    # of the T_xx check above.
+    mz = ObservableCurve(ObservableKind("mz"), gamma, size=40)([0.5])[0]
+    txx = ObservableCurve(ObservableKind("txx"), gamma, size=40)([0.5])[0]
+    assert abs(mz - 2.0 / 40) < 1e-12
+    assert abs(txx - -0.6853102368087353) < 1e-12
+
+
+#: observables the zero-energy checks evaluate, with their beta_tilde
+_ZERO_ENERGY_KINDS = (("mz", math.inf), ("mz", 5.0), ("txx", math.inf), ("tyy", math.inf),
+                      ("g:2", math.inf), ("tzz", math.inf))
+
+
+@pytest.mark.parametrize("size", (4, 22, 40))
+@pytest.mark.parametrize("gamma", (1e-200, 0.5, 1e20))
+def test_zero_energy_points_are_finite(size, gamma):
+    # lam = -1 meets the phi = pi mode, whose sine is 0, and lam = cos(phi_p)
+    # every mode where (gamma sin phi)^2 underflows (gamma = 1e-200): there
+    # d = 0 and the energy is only the floored s2.  Every observable is
+    # finite, and where the reference is right (|gamma| <= 1) it agrees with
+    # it to rounding, also at N = 22, where phi_{N/2} is not the double pi.
+    phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
+    lams = np.concatenate(([-1.0], np.cos(phi)))
+    for name, beta_tilde in _ZERO_ENERGY_KINDS:
+        got = ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde, size)(lams)
+        assert np.isfinite(got).all(), (name, beta_tilde)
+        if abs(gamma) <= 1.0:
+            want = _reference(name, beta_tilde, lams, gamma, size)
+            assert np.abs(got - want).max() <= REFERENCE_ABS, (name, beta_tilde)
 
 
 def test_mode_constants_are_built_once_per_size_and_gamma():
@@ -323,7 +361,7 @@ def _reference(name, beta_tilde, lams, gamma, size):
     if not math.isinf(beta_tilde):
         num = np.tanh(0.5 * beta_tilde * energy) * num
     mz = -mean(num)
-    return {"mz": lambda: mz, "txx": lambda: g(-1), "tyy": lambda: g(1),
+    return {"mz": lambda: mz, "txx": lambda: g(-1), "tyy": lambda: g(1), "g:2": lambda: g(2),
             "g:3": lambda: g(3), "tzz": lambda: mz * mz - g(-1) * g(1)}[name]()
 
 
@@ -340,8 +378,10 @@ REFERENCE_ABS = 1e-14
 def test_kernel_keeps_reference_bits(size, gamma):
     # The kernel agrees with the momentum sum as first written, to rounding.
     # Every cos(phi_p) and lam = +-1 are fields.  At gamma = 1e-200,
-    # (gamma sin phi)^2 underflows to 0, so lam = cos(phi_p) meets a true
-    # zero energy and the guard sets its term to 0 in both.
+    # (gamma sin phi)^2 underflows to 0, so at lam = cos(phi_p) the
+    # reference meets a zero energy and its np.where guard sets the term to
+    # 0.  The kernel's energy is positive there (s2 is floored), so its M_z
+    # term is 0 and its G term below 1e-38.
     phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
     lams = np.concatenate((np.linspace(-1.5, 2.5, 1201), np.cos(phi), [-1.0, 1.0]))
     assert np.any(dispersion(phi, np.cos(phi), gamma) == 0.0) == (gamma == 1e-200)
@@ -413,7 +453,8 @@ def test_mode_sum_is_the_halving_fold(monkeypatch):
             x[1, -1] = 0.0
         modes_first = np.ascontiguousarray(x.T)
         want = np.array([_python_mode_sum(row) for row in x.tolist()])
-        modes = xy_model._Modes.at(np.linspace(0.1, 3.0, count)[:, None], 0.5, ())
+        phi = np.linspace(0.1, 3.0, count)[:, None]
+        modes = xy_model._Modes.at(phi, np.sin(phi), 0.5, ())
         rows = xy_model._block_rows(count, 1)
         for budget in (SHIPPED_WORK_ELEMENTS, 2 * rows):
             monkeypatch.setattr(xy_model, "WORK_ELEMENTS", budget)
