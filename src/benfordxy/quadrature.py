@@ -1,8 +1,11 @@
 """A fixed graded Gauss-Legendre rule for the momentum integrals, analytic on
-[0, pi] but for layers at phi = 0 (lam -> 1), phi = pi (lam -> -1) and, for
-small gamma, of width ~gamma at cos phi = lam: panels halving toward both
-ends, none wider than a given width, converge exponentially on them
-(hp-quadrature; Trefethen, Approximation Theory and Approximation Practice).
+[0, pi] but for layers at phi = 0 (lam -> 1), phi = pi (lam -> -1, or for
+|gamma| > 1 a zero of the dispersion atanh(1/|gamma|) off the axis) and,
+for small gamma, of width ~gamma at cos phi = lam: panels halving LEVELS
+times toward a and `depth` times toward b, none wider than a given width,
+converge exponentially on them (hp-quadrature; Trefethen, Approximation
+Theory and Approximation Practice).  The N = inf observables take lam < 0
+from lam > 0 by parity, so grade toward pi only as deep as lam >= 0 needs.
 
 Gauss-Legendre error on a part falls like rho^(-2n) in its node count n,
 where rho is the sum of the semi-axes of the largest Bernstein ellipse on
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 ORDER = 16  # nodes on a part as wide as the bound, or on every part without one
-LEVELS = 40  # halvings toward each end: the end panels are 2**-41 of [a, b]
+LEVELS = 40  # most halvings toward each end: the end panels are 2**-41 of [a, b]
 MAX_NODES = 2**16  # most nodes of a rule: the modes of a 2**17-site chain
 
 
@@ -45,15 +48,19 @@ def _order(part: float, width: float) -> int:
     return math.ceil(ORDER * math.asinh(1.0) / log_rho)
 
 
-def _panels(a: float, b: float, width: float) -> list[tuple[float, float, int, int]]:
-    """(lo, hi, parts, order) of each graded panel, halving toward both ends
-    from the midpoint of [a, b]; parts equal parts keep each at most width
-    wide, and each part takes `_order` nodes."""
+def _panels(a: float, b: float, width: float,
+            depth: int = LEVELS) -> list[tuple[float, float, int, int]]:
+    """(lo, hi, parts, order) of each graded panel, halving from the midpoint
+    of [a, b] LEVELS times toward a and depth times toward b; parts equal
+    parts keep each at most width wide, and each part takes `_order` nodes."""
     if not b > a:
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
+    if not 0 <= depth <= LEVELS:
+        raise ValueError(f"depth must be in 0..{LEVELS}, got {depth}")
     h = 0.5 * (b - a)
     steps = [h * 2.0**-j for j in range(LEVELS, 0, -1)]
-    edges = [a, *(a + s for s in steps), a + h, *(b - s for s in reversed(steps)), b]
+    edges = [a, *(a + s for s in steps), a + h,
+             *(b - s for s in reversed(steps[LEVELS - depth:])), b]
     panels = []
     for lo, hi in zip(edges, edges[1:]):
         parts = max(1, math.ceil(min((hi - lo) / width, 2.0**62)))
@@ -75,11 +82,12 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)  # one rule per (gamma, offsets) in use
-def rule(a: float, b: float, width: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+def rule(a: float, b: float, width: float = math.inf,
+         depth: int = LEVELS) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ascending nodes and weights on [a, b]: `_order` Gauss-Legendre
-    nodes on each part of each graded panel, the parts of one order placed
-    at once."""
-    panels = _panels(a, b, width)
+    nodes on each part of each graded panel (`_panels`), the parts of one
+    order placed at once."""
+    panels = _panels(a, b, width, depth)
     cuts = np.concatenate([np.linspace(lo, hi, parts + 1)[:-1]
                            for lo, hi, parts, _ in panels] + [[b]])
     half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[:-1] + cuts[1:])[:, None]
@@ -95,7 +103,8 @@ def rule(a: float, b: float, width: float = math.inf) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def integrate(f, a: float, b: float, width: float = math.inf):
-    """The weighted sums of f over [a, b] by `rule(a, b, width)`: f gets the
-    rule's ``(nodes, weights)`` and its result is returned as it is."""
-    return f(rule(a, b, width))
+def integrate(f, a: float, b: float, *args):
+    """The weighted sums of f over [a, b] by `rule(a, b, *args)`, args as
+    given (so one cache entry with `rule` called alike): f gets the rule's
+    ``(nodes, weights)`` and its result is returned as it is."""
+    return f(rule(a, b, *args))

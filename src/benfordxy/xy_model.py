@@ -47,11 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate, rule
+from .quadrature import LEVELS, integrate, rule
 
 #: most modes of a slab, whose terms are evaluated and folded at once: a
 #: chain of N <= 128 sites is one slab, the N = inf rule at gamma = 0.5
-#: (670 nodes) 11
+#: (363 nodes) 6
 SLAB = 64
 #: most float64 work elements of one mode sum (1 MiB): the fields are split
 #: into equal chunks as wide as this allows; no value depends on it, since
@@ -262,11 +262,16 @@ def _chunked_mode_sums(modes, lams, beta_tilde, with_mz) -> np.ndarray:
     return out
 
 
-def _rule_width(gamma, offsets) -> float:
-    """Widest panel of the N = inf rule: 2|gamma| resolves the layer of
-    width about |gamma| around cos phi = lam, and 4/|r| the oscillation of
-    sin(r phi) and cos(r phi) at the largest offset."""
-    return min(2.0 * abs(gamma), 4.0 / max([1, *map(abs, offsets)]))
+def _rule_args(gamma, offsets) -> tuple[float, float, float, int]:
+    """`quadrature.rule` (a, b, width, depth) of the N = inf rule on [0, pi]:
+    panels at most 2|gamma| wide resolve the layer of width about |gamma|
+    around cos phi = lam, and 4/|r| the oscillation at the largest offset;
+    for lam >= 0 the dispersion vanishes near pi only for |gamma| > 1, at
+    imaginary distance atanh(1/|gamma|), which ceil(log2(pi |gamma|))
+    halvings toward pi resolve."""
+    width = min(2.0 * abs(gamma), 4.0 / max([1, *map(abs, offsets)]))
+    depth = 0 if abs(gamma) <= 1.0 else math.ceil(math.log2(math.pi * abs(gamma)))
+    return 0.0, math.pi, width, min(depth, LEVELS)
 
 
 def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
@@ -279,10 +284,12 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
     Both sizes take the mode constants with the modes on the leading axis
     (finite N from `_momentum_modes`, N = inf once per call) and sum the
     terms by `_chunked_mode_sums`.  At N = inf the modes are the nodes of
-    `quadrature.rule` on [0, pi], with panels at most `_rule_width` wide,
-    and each term carries its node's weight / pi; the rule depends on
-    gamma and the offsets alone, so no mean depends on the other fields of
-    the call.
+    the rule of `_rule_args`, and each term carries its node's weight / pi;
+    the rule depends on gamma and the offsets alone, so no mean depends on
+    the other fields of the call.  The means are taken at |lam| and, for
+    lam < 0, flipped by the chain's parity (phi -> pi - phi sends lam to
+    -lam): the M_z term is odd in lam and the G(r) term takes (-1)^(r+1),
+    an exact sign after the sum.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.reshape(-1)
@@ -291,9 +298,11 @@ def _momentum_mean(lams, size, gamma, beta_tilde=math.inf, with_mz=False,
         def weighted_sums(nodes_weights):
             nodes, weights = (x[:, None] for x in nodes_weights)
             modes = _Modes.at(nodes, np.sin(nodes), gamma, offsets, weights / math.pi)
-            return _chunked_mode_sums(modes, flat, beta_tilde, with_mz)
+            return _chunked_mode_sums(modes, np.abs(flat), beta_tilde, with_mz)
 
-        out = integrate(weighted_sums, 0.0, math.pi, _rule_width(gamma, offsets))
+        out = integrate(weighted_sums, *_rule_args(gamma, offsets))
+        odd = np.array([True] * with_mz + [r % 2 == 0 for r in offsets])
+        np.negative(out, out=out, where=odd[:, None] & (flat < 0.0))
     else:
         out = _chunked_mode_sums(_momentum_modes(size, gamma, offsets), flat,
                                  beta_tilde, with_mz)
@@ -320,6 +329,12 @@ def _layout(kinds) -> tuple[bool, tuple, tuple | None]:
     return with_mz, offsets, None if rows == tuple(range(with_mz + len(offsets))) else rows
 
 
+def _rules(kinds, gamma) -> set:
+    """The `_rule_args` of each single kind of kinds at N = inf: kinds that
+    share one take one pass, on that rule."""
+    return {_rule_args(gamma, _layout((kind,))[1]) for kind in kinds}
+
+
 def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     """Each observable of kinds at the fields lams, one row per kind: shape
     (len(kinds),) + lams.shape.  Every term they need is one mean of
@@ -327,7 +342,7 @@ def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     is minus the M_z mean, G(r) the mean of the r term, T_xx = G(-1),
     T_yy = G(+1) and T_zz = M_z^2 - G(-1) G(+1); at N = inf, kinds on
     different rules take one pass each, as their single curves do."""
-    if size is None and len({_rule_width(gamma, _layout((kind,))[1]) for kind in kinds}) > 1:
+    if size is None and len(_rules(kinds, gamma)) > 1:
         return np.stack([_curves((kind,), lams, gamma, beta_tilde)[0] for kind in kinds])
     with_mz, offsets, rows = _layout(kinds)
     means = _momentum_mean(lams, size, gamma, beta_tilde, with_mz, offsets)
@@ -408,10 +423,10 @@ class ObservableCurve:
     single curve, all from one momentum pass (at N = inf, one per rule).
     `kinds` and `parts` are tuples for every curve: its kinds, and the
     single-kind curve of each (the curve itself for one kind).
-    An N = inf curve builds its (cached) rule when it is constructed: one
-    that needs more than `quadrature.MAX_NODES` nodes (|gamma| below about
-    3.9e-4, or |r| above about 5.2e3) raises `quadrature.QuadratureError`
-    there, before any array is built.
+    An N = inf curve builds the (cached) rules its calls run on when it is
+    constructed: one that needs more than `quadrature.MAX_NODES` nodes
+    (|gamma| below about 3.9e-4, or |r| above about 5.2e3) raises
+    `quadrature.QuadratureError` there, before any array is built.
     """
 
     kind: ObservableKind | tuple[ObservableKind, ...]
@@ -433,7 +448,8 @@ class ObservableCurve:
                 raise ValueError(f"offset |r|={abs(kind.r)} exceeds "
                                  f"N/2={self.size // 2}")
         if self.size is None:
-            rule(0.0, math.pi, _rule_width(self.gamma, _layout(self.kinds)[1]))
+            for args in _rules(self.kinds, self.gamma):
+                rule(*args)
 
     @property
     def kinds(self) -> tuple[ObservableKind, ...]:

@@ -15,7 +15,7 @@ from benfordxy.xy_model import correlator_curve, mz_curve, tzz_curve
 
 integrate = pytest.importorskip("scipy.integrate")
 
-GAMMAS = (0.02, 0.1, 0.5, 1.0, 5.0)
+GAMMAS = (0.02, 0.1, 0.5, 1.0, 5.0, 20.0, 1e3)
 OFFSETS = (1, -1, 2, 3, 30, -30)
 LAMS = (0.0, 0.5, 0.8315, 1.35, 2.0, 1.0, -1.0) + tuple(
     side * (1.0 + sign * 10.0**-k) for side in (1, -1) for sign in (1, -1) for k in range(2, 13)

@@ -11,7 +11,7 @@ import pytest
 import benfordxy
 from benfordxy import quadrature, xy_model
 from benfordxy.quadrature import MAX_NODES, ORDER, QuadratureError, integrate, rule
-from benfordxy.xy_model import ObservableCurve, ObservableKind, _rule_width
+from benfordxy.xy_model import ObservableCurve, ObservableKind, _rule_args
 
 WIDTHS = (math.inf, 1.0, 0.04, 4.0 / 30)
 
@@ -155,13 +155,32 @@ def test_panels_below_the_floats_resolution_are_kept():
 
 
 def test_gamma_half_rule_halves_the_nodes():
-    # gamma = 0.5 bounds panels at 1: its widest panels, pi/4, take 14
-    # nodes, the next, pi/8, take 9 and the 39 narrower ones 8 each, per
-    # half of [0, pi]: 670 nodes, against 1 312 with ORDER on every panel.
-    width = _rule_width(0.5, ())
-    orders = [order for *_, order in quadrature._panels(0.0, math.pi, width)]
-    assert orders[:3] == [8, 8, 8] and orders[39:43] == [9, 14, 14, 9]
-    assert rule(0.0, math.pi, width)[0].size == 2 * (14 + 9 + 39 * 8) == 670 <= 850
+    # gamma = 0.5 bounds panels at 1 and, needing no grading toward pi for
+    # lam >= 0, halves only toward 0: its widest panels, pi/4, take 14
+    # nodes, the next, pi/8, take 9 and the 39 narrower ones 8 each, and
+    # [pi/2, pi] is two parts of 14: 363 nodes, against 670 graded toward
+    # both ends and 1 312 with ORDER on every panel.
+    args = _rule_args(0.5, ())
+    orders = [order for *_, order in quadrature._panels(*args)]
+    assert args[3] == 0 and orders[:3] == [8, 8, 8] and orders[39:] == [9, 14, 14]
+    assert rule(*args)[0].size == 14 + 9 + 39 * 8 + 2 * 14 == 363 <= 400
+
+
+def test_depth_grades_toward_b_only_as_deep_as_asked():
+    # LEVELS halvings toward a and depth toward b: depth + 1 panels in the
+    # right half, the last pi 2^-(depth + 1) wide; LEVELS is the default.
+    for depth in (0, 1, 12, quadrature.LEVELS):
+        panels = quadrature._panels(0.0, math.pi, math.inf, depth)
+        assert len(panels) == quadrature.LEVELS + 2 + depth
+        assert panels[-1][:2] == (math.pi - math.pi * 2.0 ** -(depth + 1), math.pi)
+    assert quadrature._panels(0.0, 1.0, 0.2) == quadrature._panels(0.0, 1.0, 0.2, 40)
+    for depth in (-1, quadrature.LEVELS + 1):
+        with pytest.raises(ValueError):
+            rule(0.0, 1.0, math.inf, depth)
+    # gamma above 1 grades toward pi ceil(log2(pi |gamma|)) times
+    depths = [_rule_args(g, ())[3] for g in (-1.0, 1.0, 1.01, 2.0, -1e3, 1e150)]
+    assert depths == [0, 0, 2, 3, 12, quadrature.LEVELS]
+    assert [rule(*_rule_args(g, ()))[0].size for g in (2.0, 1e3)] == [360, 432]
 
 
 DENSE_GAMMAS = (0.02, 0.1, 0.5, 1.0, 5.0)
@@ -173,11 +192,12 @@ DENSE_LAMS = np.unique(np.concatenate([
 ]))
 
 
-def _sixteen_nodes_per_part(a, b, width):
+def _sixteen_nodes_per_part(a, b, width, depth):
     """The rule on the same panels and parts with ORDER nodes on each part."""
     x, w = quadrature._gauss_legendre(ORDER)
+    panels = quadrature._panels(a, b, width, depth)
     cuts = np.concatenate([np.linspace(lo, hi, parts + 1)[:-1]
-                           for lo, hi, parts, _ in quadrature._panels(a, b, width)] + [[b]])
+                           for lo, hi, parts, _ in panels] + [[b]])
     half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
 
@@ -190,8 +210,8 @@ def test_fewer_nodes_keep_the_sixteen_node_values(gamma, monkeypatch):
     kinds = tuple(ObservableKind.parse(kind) for kind in DENSE_KINDS)
     got = ObservableCurve(kinds, gamma)(DENSE_LAMS)
 
-    def sixteen(f, a, b, width):
-        return f(_sixteen_nodes_per_part(a, b, width))
+    def sixteen(f, a, b, width, depth):
+        return f(_sixteen_nodes_per_part(a, b, width, depth))
 
     monkeypatch.setattr(xy_model, "integrate", sixteen)
     want = ObservableCurve(kinds, gamma)(DENSE_LAMS)

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from benfordxy import xy_model
+from benfordxy import quadrature, xy_model
 from benfordxy.xy_model import (
     ModelParams,
     ObservableCurve,
@@ -569,3 +569,60 @@ def test_scalar_and_array_field_shapes():
     for name in ("mz", "tzz"):
         curve = ObservableCurve(ObservableKind(name), gamma=0.5, size=20)
         assert curve(np.zeros((0, 3))).shape == (0, 3)
+
+
+PARITY_LAMS = np.concatenate([np.linspace(1e-3, 2.5, 301),
+                              [5e-324, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1e3]])
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.5, 2.0, 1e3])
+def test_thermodynamic_limit_parity_is_exact(gamma):
+    # phi -> pi - phi sends lam to -lam: M_z is odd in lam and G(r) takes
+    # (-1)^(r+1), so T_xx, T_yy and T_zz are even.  At N = inf each mean is
+    # taken at |lam| and flipped after the mode sum, so the parity holds
+    # bit for bit.
+    x = PARITY_LAMS
+    for beta_tilde in (math.inf, 5.0):
+        want = -mz_curve(x, gamma, beta_tilde)
+        assert mz_curve(-x, gamma, beta_tilde).tobytes() == want.tobytes(), beta_tilde
+    for r in (-1, 1, 2, 3, -30):
+        want = (-1) ** (r + 1) * correlator_curve(r, x, gamma)
+        assert correlator_curve(r, -x, gamma).tobytes() == want.tobytes(), r
+    joint = ObservableCurve(tuple(ObservableKind.parse(k) for k in ("mz", "txx", "tzz")), gamma)
+    want = joint(x) * np.array([[-1.0], [1.0], [1.0]])
+    assert joint(-x).tobytes() == want.tobytes()
+
+
+def test_thermodynamic_limit_signed_zero_and_mixed_signs():
+    # lam = -0.0 is lam = 0.0, and a call with fields of both signs gives
+    # the bits of one call per sign.
+    kinds = tuple(ObservableKind.parse(k) for k in ("mz", "txx", "tyy", "tzz", "g:2", "g:-3"))
+    for curve in (ObservableCurve(kinds, 0.5), ObservableCurve(ObservableKind("mz"), 0.5, 5.0)):
+        assert curve(np.array([-0.0])).tobytes() == curve(np.array([0.0])).tobytes()
+        lams = np.array([-1.5, 0.25, -1.0, 1.0, -0.0, 0.0, 1.0 + 1e-9, -0.25])
+        got = curve(lams)
+        for sign in (lams < 0.0, lams >= 0.0):
+            assert got[..., sign].tobytes() == curve(lams[sign]).tobytes(), curve.label
+
+
+def test_thermodynamic_limit_builds_one_rule_and_calls_it_once(monkeypatch):
+    # A curve's construction builds the rule its calls run on, so
+    # constructing and calling it misses the rule cache once; a call with
+    # fields of both signs is one integrate call per rule.
+    calls = []
+
+    def counted(f, *args):
+        calls.append(args)
+        return quadrature.integrate(f, *args)
+
+    monkeypatch.setattr(xy_model, "integrate", counted)
+    lams = np.linspace(-1.5, 1.5, 31)
+    for names, gamma, rules in ((("mz",), 0.5, 1), (("tzz", "txx"), 3.0, 1),
+                                (("mz", "g:30"), 0.5, 2)):
+        kinds = tuple(ObservableKind.parse(name) for name in names)
+        quadrature.rule.cache_clear()
+        ObservableCurve(kinds, gamma)(lams)
+        info = quadrature.rule.cache_info()
+        assert info.currsize == info.misses == rules, names
+        assert len(calls) == rules and len(set(calls)) == rules, names
+        calls.clear()
