@@ -34,7 +34,6 @@ from .windows import (
     ConvergenceError,
     ConvergenceResult,
     DegenerateWindowError,
-    ProfileMeta,
     ViolationProfile,
     WindowSpec,
     convergence_check,
@@ -83,7 +82,6 @@ __all__ = [
     "ConvergenceError",
     "ConvergenceResult",
     "DegenerateWindowError",
-    "ProfileMeta",
     "ViolationProfile",
     "WindowSpec",
     "convergence_check",

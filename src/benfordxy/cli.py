@@ -12,8 +12,8 @@ turned into `-`) and the config-file key (the field name).  Configuration
 comes from defaults, then an optional `--config FILE` of flat
 `key = value` lines, then a resolution preset (`--coarse` or `--full`, a
 mutually exclusive pair), then explicit flags; later sources win.  A
-profile run writes a metadata sidecar that parses back as a config file
-and reproduces the run byte-identically.
+profile run writes a metadata sidecar from its resolved settings, which
+parses back as a config file and reproduces the run byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure or out of memory,
 3 I/O failure.
@@ -37,6 +37,7 @@ from . import scaling as sc
 from .quadrature import QuadratureError
 from .windows import (
     DOUBLING_MAX_N,
+    MAX_WINDOW_SAMPLES,
     ConvergenceError,
     WindowSpec,
     convergence_check,
@@ -44,7 +45,6 @@ from .windows import (
     fmt17,
     profile as profile_windows,
     profile_csv_text,
-    profile_meta_text,
     profile_set,
 )
 from .xy_model import ObservableCurve, ObservableKind
@@ -269,8 +269,8 @@ def cmd_observables(cfg: RunConfig) -> int:
     if len(sizes) != 1:
         raise UsageError("observables takes exactly one --n-sites value")
     n = cfg.n if cfg.n is not None else 201
-    if n < 1:
-        raise UsageError(f"empty grid: n = {n}")
+    if not 1 <= n <= MAX_WINDOW_SAMPLES:
+        raise UsageError(f"grid of n = {n} points, need 1 to {MAX_WINDOW_SAMPLES}")
     curve = _curve(cfg, sizes[0])
     lams = np.linspace(cfg.a, cfg.b, n)
     vals = np.asarray(curve(lams), dtype=float)
@@ -301,6 +301,20 @@ def _window_spec(cfg: RunConfig, n: int) -> WindowSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _meta_text(cfg: RunConfig, curve: ObservableCurve, n: int) -> str:
+    """The profile's sidecar: the settings it ran with, as config lines
+    that rerun it byte-identically."""
+    pairs = [("observable", curve.label),
+             ("n_sites", "inf" if curve.size is None else str(curve.size)),
+             ("gamma", fmt17(cfg.gamma))]
+    if math.isfinite(cfg.beta_tilde):
+        pairs.append(("beta_tilde", fmt17(cfg.beta_tilde)))
+    pairs += [("k", str(cfg.k)), ("distance", cfg.distance)]
+    pairs += [(key, fmt17(getattr(cfg, key))) for key in ("a", "b", "w", "epsilon")]
+    pairs.append(("n", str(n)))
+    return "".join(f"{key} = {val}\n" for key, val in pairs)
+
+
 def cmd_profile(cfg: RunConfig) -> int:
     sizes = cfg.sizes_or((40,))
     if len(sizes) != 1:
@@ -313,16 +327,16 @@ def cmd_profile(cfg: RunConfig) -> int:
             curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs()
         )
         print(f"auto-n: converged at n = {res.n} (deviation {res.deviation:.3g})")
-        prof = res.profile
+        prof, n = res.profile, res.n
     else:
         prof = profile_windows(curve, spec, cfg.k, cfg.distance, jobs=cfg.resolved_jobs())
-    csv_path = _outpath(cfg, "profile.csv")
-    _write(csv_path, profile_csv_text(prof))
-    _write(_outpath(cfg, "profile.meta"), profile_meta_text(prof))
+        n = spec.n
+    _write(_outpath(cfg, "profile.csv"), profile_csv_text(prof))
+    _write(_outpath(cfg, "profile.meta"), _meta_text(cfg, curve, n))
     if cfg.emit_plot:
         script = _PLOT_TEMPLATE.format(
             name="profile.gp", csv="profile.csv",
-            distance=cfg.distance, observable=prof.meta.observable, k=cfg.k,
+            distance=cfg.distance, observable=curve.label, k=cfg.k,
         )
         _write(_outpath(cfg, "profile.gp"), script)
     return EXIT_OK

@@ -17,9 +17,9 @@ error of ORDER nodes on a part as wide as the bound (rho = 1 + sqrt(2)):
 ORDER on the widest parts, down to ORDER/2 on the narrow ones.  Without a
 width bound every part keeps ORDER nodes.
 
-`rule` is cached and refuses more than MAX_NODES nodes from the panels'
-node count, before any array is built; `integrate` hands its integrand
-the whole rule at once.
+`rule` is cached, one entry per rule however it is called, and refuses
+more than MAX_NODES nodes from the panels' node count, before any array
+is built; `integrate` hands its integrand the whole rule at once.
 """
 
 import functools
@@ -81,12 +81,16 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x - x[::-1]), v[0] ** 2 + v[0, ::-1] ** 2
 
 
-@functools.lru_cache(maxsize=16)  # one rule per (gamma, offsets) in use
 def rule(a: float, b: float, width: float = math.inf,
          depth: int = LEVELS) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ascending nodes and weights on [a, b]: `_order` Gauss-Legendre
     nodes on each part of each graded panel (`_panels`), the parts of one
     order placed at once."""
+    return _rule(a, b, width, depth)
+
+
+@functools.lru_cache(maxsize=16)  # one rule per (gamma, offsets) in use
+def _rule(a: float, b: float, width: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     panels = _panels(a, b, width, depth)
     cuts = np.concatenate([np.linspace(lo, hi, parts + 1)[:-1]
                            for lo, hi, parts, _ in panels] + [[b]])
@@ -104,7 +108,6 @@ def rule(a: float, b: float, width: float = math.inf,
 
 
 def integrate(f, a: float, b: float, *args):
-    """The weighted sums of f over [a, b] by `rule(a, b, *args)`, args as
-    given (so one cache entry with `rule` called alike): f gets the rule's
-    ``(nodes, weights)`` and its result is returned as it is."""
+    """The weighted sums of f over [a, b] by `rule(a, b, *args)`: f gets the
+    rule's ``(nodes, weights)`` and its result is returned as it is."""
     return f(rule(a, b, *args))

@@ -5,8 +5,9 @@ a + w + m*eps].  Within each window the curve is sampled at n evenly
 spaced points (endpoints included), min-max normalized, and the first-k
 significant digits of the nonzero normalized values are compared against
 the Benford expectation with one of the three distances from
-:mod:`benfordxy.benford`.  A profile holds two float arrays, the window
-midpoints a + w/2 + m*eps and each window's distance.
+:mod:`benfordxy.benford`.  A profile is two float arrays, the window
+midpoints a + w/2 + m*eps and each window's distance; the settings that
+made it are the caller's to record (the CLI writes them as `profile.meta`).
 
 Windows are independent work units; `jobs > 1` farms fixed-size blocks of
 window indices to a process pool of min(jobs, blocks, cores) workers and
@@ -168,28 +169,13 @@ def _check_distance(distance: str):
         )
 
 
-@dataclass(frozen=True)
-class ProfileMeta:
-    """Provenance of a profile: observable identity, digit depth, distance,
-    and window geometry."""
-
-    observable: str
-    gamma: float | None
-    beta_tilde: float | None
-    size: int | None
-    k: int
-    distance: str
-    spec: WindowSpec
-
-
 @dataclass(frozen=True, eq=False)
 class ViolationProfile:
-    """Read-only window midpoints and distances, in window order, plus
-    provenance.  Profiles compare by identity; compare their arrays."""
+    """Read-only window midpoints and distances, in window order.  Profiles
+    compare by identity; compare their arrays."""
 
     lambdas: np.ndarray
     deltas: np.ndarray
-    meta: ProfileMeta
 
     @property
     def points(self) -> np.ndarray:
@@ -214,27 +200,12 @@ def _eval_block(observable, spec: WindowSpec, start: int, stop: int, part_combos
     return np.array(deltas)
 
 
-def _meta_for(observable, spec: WindowSpec, k: int, distance: str) -> ProfileMeta:
-    label = getattr(observable, "label", None)
-    if label is None:
-        label = getattr(observable, "__name__", "custom")
-    return ProfileMeta(
-        observable=str(label),
-        gamma=getattr(observable, "gamma", None),
-        beta_tilde=getattr(observable, "beta_tilde", None),
-        size=getattr(observable, "size", None),
-        k=k,
-        distance=distance,
-        spec=spec,
-    )
-
-
 def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     """Profiles for every (k, distance) pair of each part of observable,
     from one shared sampling pass.
 
-    The parts are `observable.parts` (an `ObservableCurve` of several kinds
-    is evaluated once per window and returns one row per part), or the
+    The parts are the kinds of an `ObservableCurve` (one of several kinds
+    is evaluated once per window and returns one row per kind), or the
     observable itself.  distances holds one sequence of distances per part,
     and one dict {(k, distance): ViolationProfile} per part is returned.
     Each window is sampled once, and each part's row normalized and
@@ -245,9 +216,9 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     at once (see the module docstring), so its value at a field must not
     depend on the other fields of the call.
     """
-    parts = getattr(observable, "parts", (observable,))
+    parts = len(getattr(observable, "kinds", (observable,)))
     distances = list(distances)
-    if len(distances) != len(parts):
+    if len(distances) != parts:
         raise ValueError(f"need one distance list per part, got {len(distances)}")
     ks = list(dict.fromkeys(ks))
     part_combos = []
@@ -276,11 +247,8 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     mids = midpoints(spec)
     mids.flags.writeable = table.flags.writeable = False
     columns = iter(table)
-    return [
-        {(k, d): ViolationProfile(mids, next(columns), _meta_for(part, spec, k, d))
-         for k, d in combos}
-        for part, combos in zip(parts, part_combos)
-    ]
+    return [{(k, d): ViolationProfile(mids, next(columns)) for k, d in combos}
+            for combos in part_combos]
 
 
 def profile(observable, spec: WindowSpec, k: int, distance: str, jobs: int = 1):
@@ -352,28 +320,6 @@ def profile_csv_text(prof: ViolationProfile) -> str:
     lines = ["lambda_mid,delta"]
     lines += [f"{fmt17(lam)},{fmt17(d)}" for lam, d in prof.points.tolist()]
     return "\n".join(lines) + "\n"
-
-
-def profile_meta_text(prof: ViolationProfile) -> str:
-    """Key-value sidecar; parses back as a CLI config for an identical rerun."""
-    m = prof.meta
-    sp = m.spec
-    pairs = [("observable", m.observable)]
-    pairs.append(("n_sites", "inf" if m.size is None else str(m.size)))
-    if m.gamma is not None:
-        pairs.append(("gamma", fmt17(m.gamma)))
-    if m.beta_tilde is not None and math.isfinite(m.beta_tilde):
-        pairs.append(("beta_tilde", fmt17(m.beta_tilde)))
-    pairs += [
-        ("k", str(m.k)),
-        ("distance", m.distance),
-        ("a", fmt17(sp.a)),
-        ("b", fmt17(sp.b)),
-        ("w", fmt17(sp.w)),
-        ("epsilon", fmt17(sp.epsilon)),
-        ("n", str(sp.n)),
-    ]
-    return "".join(f"{key} = {val}\n" for key, val in pairs)
 
 
 def default_jobs() -> int:

@@ -100,7 +100,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class ObservableKind:
     """Tag for one of the supported observables: mz, txx, tyy, tzz, or the
-    string correlator g at integer offset r."""
+    string correlator g at integer offset r (stored as an int; the other
+    observables take no offset)."""
 
     name: str
     r: int = 0
@@ -110,6 +111,9 @@ class ObservableKind:
             raise ValueError(f"unknown observable {self.name!r}")
         if not float(self.r).is_integer():  # refuses nan and inf too
             raise ValueError(f"correlator offset must be an integer, got {self.r!r}")
+        object.__setattr__(self, "r", int(self.r))
+        if self.r and self.name != "g":
+            raise ValueError(f"{self.name} takes no offset, got r = {self.r}")
 
     @classmethod
     def parse(cls, text: str) -> "ObservableKind":
@@ -421,8 +425,7 @@ class ObservableCurve:
     kind may also be a tuple of kinds, a joint curve: a call then returns
     one row per kind, shape (len(kind),) + lams.shape, with the bits of its
     single curve, all from one momentum pass (at N = inf, one per rule).
-    `kinds` and `parts` are tuples for every curve: its kinds, and the
-    single-kind curve of each (the curve itself for one kind).
+    `kinds` is a tuple for every curve: its kinds, one for a single curve.
     An N = inf curve builds the (cached) rules its calls run on when it is
     constructed: one that needs more than `quadrature.MAX_NODES` nodes
     (|gamma| below about 3.9e-4, or |r| above about 5.2e3) raises
@@ -454,13 +457,6 @@ class ObservableCurve:
     @property
     def kinds(self) -> tuple[ObservableKind, ...]:
         return self.kind if isinstance(self.kind, tuple) else (self.kind,)
-
-    @property
-    def parts(self) -> tuple[ObservableCurve, ...]:
-        if not isinstance(self.kind, tuple):
-            return (self,)
-        return tuple(ObservableCurve(kind, self.gamma, self.beta_tilde, self.size)
-                     for kind in self.kind)
 
     @property
     def label(self) -> str:

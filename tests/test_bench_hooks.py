@@ -1,11 +1,12 @@
 """The benchmark's traced runs against the current program.
 
 `perfbench/tracer.py` wraps names of the program by hand (for instance
-`xy_model.integrate` and `quadrature.QuadratureError`), and the
-benchmark's own tests are not part of this suite.  So a rename here could
-pass every test below `tests/` and still break `perfbench/run.py --trace 1`.
-Each test runs one small command under `perfbench/child.py`'s trace mode,
-as the benchmark does, and checks the spans it leaves.
+`xy_model.integrate`, `quadrature.QuadratureError` and
+`windows.ProcessPoolExecutor`), and the benchmark's own tests are not part
+of this suite.  So a rename here could pass every test below `tests/` and
+still break `perfbench/run.py`.  Each test runs one small command under
+`perfbench/child.py`'s trace or pool mode, as the benchmark does, and
+checks the spans or counters it leaves.
 """
 
 import importlib.util
@@ -16,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from benfordxy.windows import default_jobs
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -39,17 +42,22 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_traced_run_closes_its_spans_and_reaches_every_layer(name, tmp_path):
-    argv, layers = COMMANDS[name]
+def _child(mode, argv, tmp_path) -> dict:
+    """The result record of one `child.py` run of argv in mode."""
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run(
-        [sys.executable, str(BENCH / "child.py"), str(result), "trace", "--",
+        [sys.executable, str(BENCH / "child.py"), str(result), mode, "--",
          *argv, "--out", str(tmp_path / "out")],
         cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300,
     )
-    record = json.loads(result.read_text())
+    return json.loads(result.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_traced_run_closes_its_spans_and_reaches_every_layer(name, tmp_path):
+    argv, layers = COMMANDS[name]
+    record = _child("trace", argv, tmp_path)
     assert record["rc"] == 0
     dump = record["trace"]
     assert tracer.check_spans(dump, record["wall_s"], SPAN_TOL_S) == []
@@ -62,3 +70,14 @@ def test_traced_run_closes_its_spans_and_reaches_every_layer(name, tmp_path):
         assert metrics["quadrature.calls"] > 0
         assert metrics["quadrature.integrand_evals"] == metrics["quadrature.calls"]
         assert metrics["quadrature.errors"] == 0
+
+
+@pytest.mark.skipif(default_jobs() < 2, reason="a pool needs two usable cores")
+def test_pool_run_counts_its_pool(tmp_path):
+    # `table1-coarse` runs in pool mode, which replaces
+    # windows.ProcessPoolExecutor with a counting subclass: the traced
+    # table1 command, on two workers
+    argv = [*COMMANDS["table1"][0][:-2], "--jobs", "2"]
+    record = _child("pool", argv, tmp_path)
+    assert record["rc"] == 0
+    assert record["trace"]["counters"]["windows.pool_starts"] >= 1

@@ -70,6 +70,8 @@ def run(argv, capsys):
         # --auto-n applies to profile only (NUMBERS: a readable numeric file)
         ["observables", "--n-sites", "14", "--auto-n"],
         ["benford", "NUMBERS", "--auto-n"],
+        # an observables grid past the per-window samples cap
+        ["observables", "--n-sites", "40", "--n", "1000001"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
@@ -354,12 +356,15 @@ def test_bad_config_values_exit_1(tmp_path, capsys, content):
 # ---------------------------------------------------------------- profile
 
 
-def test_profile_meta_reproduces_run_byte_identically(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--beta-tilde", "5"]], ids=["ground", "beta_tilde_5"])
+def test_profile_meta_reproduces_run_byte_identically(tmp_path, capsys, extra):
+    # the sidecar's one conditional line, beta_tilde, is written only when
+    # it is finite
     first = tmp_path / "first"
     again = tmp_path / "again"
     base = ["profile", "--observable", "mz", "--n-sites", "14", "--a", "0.5",
             "--b", "1.5", "--w", "0.05", "--epsilon", "5e-3", "--n", "1000"]
-    code, _, _ = run(base + ["--out", str(first)], capsys)
+    code, _, _ = run(base + extra + ["--out", str(first)], capsys)
     assert code == 0
     code, _, _ = run(
         ["profile", "--config", str(first / "profile.meta"), "--out", str(again)],
@@ -368,6 +373,7 @@ def test_profile_meta_reproduces_run_byte_identically(tmp_path, capsys):
     assert code == 0
     assert (first / "profile.csv").read_bytes() == (again / "profile.csv").read_bytes()
     assert (first / "profile.meta").read_bytes() == (again / "profile.meta").read_bytes()
+    assert ("beta_tilde = 5\n" in (first / "profile.meta").read_text()) == bool(extra)
 
 
 def test_auto_n_writes_the_converged_profile_without_another_pass(tmp_path, capsys,

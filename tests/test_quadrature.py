@@ -99,6 +99,15 @@ def test_determinism():
     assert rule(0.0, 2.0) is rule(0.0, 2.0)
 
 
+def test_one_cache_entry_per_rule():
+    # defaults left out, given by name or given by position are one rule
+    quadrature._rule.cache_clear()
+    forms = [rule(0.0, math.pi, 0.5), rule(0.0, math.pi, width=0.5),
+             rule(0.0, math.pi, 0.5, quadrature.LEVELS)]
+    assert all(form is forms[0] for form in forms)
+    assert quadrature._rule.cache_info().currsize == 1
+
+
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         rule(1.0, 0.0)

@@ -241,9 +241,6 @@ def test_profile_points_are_ordered_and_keyed_by_midpoint():
     assert np.array_equal(prof.lambdas, W.midpoints(spec))
     assert np.array_equal(prof.points[:, 1], prof.deltas)
     assert not prof.lambdas.flags.writeable and not prof.deltas.flags.writeable
-    assert prof.meta.k == 1
-    assert prof.meta.distance == "md"
-    assert prof.meta.spec == spec
 
 
 def test_profile_set_consistent_with_single_profiles():
@@ -291,7 +288,7 @@ def _mz_txx(size):
 
 def test_joint_pass_matches_single_observable_profiles():
     """One sampling and one Lambda per window for M_z and T_xx gives each
-    the bits and provenance of its own profile_set pass."""
+    the bits of its own profile_set pass."""
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 1000)
     ks = (1, 2, 3, 4)
     dists = ("md", "sd", "bd")
@@ -302,7 +299,6 @@ def test_joint_pass_matches_single_observable_profiles():
         assert list(got) == list(want)
         for key in want:
             assert _same_bits(got[key], want[key])
-            assert got[key].meta == want[key].meta
     mz, txx = W.profile_set(_mz_txx(14), spec, (2,), [("md", "sd"), ("bd",)], jobs=1)
     assert list(mz) == [(2, "md"), (2, "sd")] and list(txx) == [(2, "bd")]
 
@@ -502,22 +498,6 @@ def test_profile_csv_text_layout():
     lam, delta = lines[1].split(",")
     assert float(lam) == prof.points[0][0]
     assert float(delta) == prof.points[0][1]
-
-
-def test_profile_meta_text_round_trips_as_config():
-    spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
-    prof = W.profile(xy_curve("mz", 14), spec, k=2, distance="bd", jobs=1)
-    text = W.profile_meta_text(prof)
-    fields = dict(
-        line.split(" = ", 1) for line in text.splitlines() if line.strip()
-    )
-    assert fields["observable"] == "mz"
-    assert fields["n_sites"] == "14"
-    assert float(fields["gamma"]) == 0.5
-    assert fields["k"] == "2"
-    assert fields["distance"] == "bd"
-    assert int(fields["n"]) == spec.n
-    assert float(fields["epsilon"]) == spec.epsilon
 
 
 # ----------------------------------------------- XY-chain profile structure

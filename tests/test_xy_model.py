@@ -227,6 +227,19 @@ def test_kind_parse_and_label():
         ObservableKind.parse("sx")
 
 
+def test_offsets_are_ints_and_only_g_takes_one():
+    # an integral float offset is stored as an int, so its label parses
+    # back; an offset on an observable that has none is refused
+    kind = ObservableKind("g", 2.0)
+    assert type(kind.r) is int and kind.label() == "g:2"
+    assert ObservableKind.parse(kind.label()) == kind
+    assert type(ObservableKind("g", np.int64(-3)).r) is int
+    for name in ("mz", "txx", "tyy", "tzz"):
+        assert ObservableKind(name, 0.0).r == 0
+        with pytest.raises(ValueError, match="no offset"):
+            ObservableKind(name, 5)
+
+
 def test_non_integer_correlator_offsets_are_refused():
     # the mode constants cast offsets to int64, so 1.5 used to read G(1)
     for r in (1.5, -0.5, math.nan, math.inf):
@@ -475,10 +488,11 @@ def test_joint_curve_rows_match_single_curves():
         joint = ObservableCurve(kinds, 0.5, size=size)
         rows = joint(lams)
         assert rows.shape == (len(kinds), 4, 6)
-        assert [part.label for part in joint.parts] == list(names)
-        for part, row in zip(joint.parts, rows):
-            assert part.parts == (part,) and part.kinds == (part.kind,)
-            assert row.tobytes() == part(lams).tobytes(), (size, part.label)
+        assert joint.label == "+".join(names)
+        for kind, row in zip(kinds, rows):
+            single = ObservableCurve(kind, 0.5, size=size)
+            assert single.kinds == (kind,)
+            assert row.tobytes() == single(lams).tobytes(), (size, single.label)
     with pytest.raises(ValueError):
         ObservableCurve((ObservableKind("mz"), ObservableKind("txx")), 0.5, beta_tilde=3.0)
     with pytest.raises(ValueError):
@@ -620,9 +634,9 @@ def test_thermodynamic_limit_builds_one_rule_and_calls_it_once(monkeypatch):
     for names, gamma, rules in ((("mz",), 0.5, 1), (("tzz", "txx"), 3.0, 1),
                                 (("mz", "g:30"), 0.5, 2)):
         kinds = tuple(ObservableKind.parse(name) for name in names)
-        quadrature.rule.cache_clear()
+        quadrature._rule.cache_clear()
         ObservableCurve(kinds, gamma)(lams)
-        info = quadrature.rule.cache_info()
+        info = quadrature._rule.cache_info()
         assert info.currsize == info.misses == rules, names
         assert len(calls) == rules and len(set(calls)) == rules, names
         calls.clear()
