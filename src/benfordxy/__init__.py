@@ -7,16 +7,13 @@ resulting pseudo-critical points.
 """
 
 from .benford import (
-    DigitKey,
     FrequencyTable,
     benford_probabilities,
-    benford_probability,
     delta_bd,
     delta_md,
     delta_sd,
     expected_table,
     observed_table,
-    significant_digits,
 )
 from .quadrature import QuadratureError
 from .scaling import (
@@ -48,27 +45,19 @@ from .xy_model import (
     ObservableCurve,
     ObservableKind,
     correlator_G,
-    correlator_curve,
-    correlators_nn,
-    dispersion,
     magnetization,
-    mz_curve,
-    observable_curve,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "DigitKey",
     "FrequencyTable",
     "benford_probabilities",
-    "benford_probability",
     "delta_bd",
     "delta_md",
     "delta_sd",
     "expected_table",
     "observed_table",
-    "significant_digits",
     "QuadratureError",
     "CubicFit",
     "FitError",
@@ -94,11 +83,6 @@ __all__ = [
     "ObservableCurve",
     "ObservableKind",
     "correlator_G",
-    "correlator_curve",
-    "correlators_nn",
-    "dispersion",
     "magnetization",
-    "mz_curve",
-    "observable_curve",
     "__version__",
 ]

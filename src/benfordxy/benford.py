@@ -103,19 +103,6 @@ def key_bounds(k: int) -> tuple[int, int]:
     return 10 ** (k - 1), 10**k - 1
 
 
-@dataclass(frozen=True)
-class DigitKey:
-    """First k significant digits of a number, as the integer d1 d2 .. dk."""
-
-    k: int
-    value: int
-
-    def __post_init__(self):
-        lo, hi = key_bounds(self.k)
-        if not lo <= self.value <= hi:
-            raise ValueError(f"key {self.value} outside [{lo}, {hi}] for k={self.k}")
-
-
 def digit_keys(values, k: int) -> np.ndarray:
     """Vectorized digit extraction: int64 key per nonzero finite value, in
     the shape of values (a numpy integer for a scalar).
@@ -197,20 +184,6 @@ def _exact_keys(ax: np.ndarray, k: int) -> np.ndarray:
     return np.minimum(np.maximum(m, lo, out=m), hi, out=m)
 
 
-def significant_digits(x: float, k: int) -> DigitKey:
-    """DigitKey of the first k significant digits of x (x nonzero, finite)."""
-    if x == 0.0:
-        raise ValueError("zero has no significant digits")
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r}")
-    return DigitKey(k, int(digit_keys([x], k)[0]))
-
-
-def benford_probability(key: DigitKey) -> float:
-    """Generalized Benford probability log10(1 + 1/key)."""
-    return math.log10(1.0 + 1.0 / key.value)
-
-
 @functools.cache
 def benford_probabilities(k: int) -> np.ndarray:
     """Benford probability per key of depth k in key order; cached, read-only."""
@@ -238,11 +211,6 @@ class FrequencyTable:
         s = float(self.counts.sum())
         if abs(s - self.total) > 1e-9 * max(self.total, 1.0):
             raise ValueError(f"total {self.total} does not match sum {s}")
-
-    def count_of(self, key: DigitKey) -> float:
-        if key.k != self.k:
-            raise ValueError("digit depth mismatch")
-        return float(self.counts[key.value - 10 ** (self.k - 1)])
 
 
 def expected_table(total: float, k: int) -> FrequencyTable:

@@ -315,6 +315,32 @@ def _meta_text(cfg: RunConfig, curve: ObservableCurve, n: int) -> str:
     return "".join(f"{key} = {val}\n" for key, val in pairs)
 
 
+def _scaling_record_text(result: sc.ScalingResult) -> str:
+    """Flat key-value record of a scaling fit, one field per line."""
+    pts = "; ".join(f"{n}:{fmt17(l)}" for n, l in result.points)
+    lines = [
+        f"mode = {result.mode}",
+        f"lambda_c = {fmt17(result.lambda_c)}",
+        f"alpha = {fmt17(result.alpha)}",
+        f"q = {fmt17(result.q)}",
+        f"q_stderr = {fmt17(result.q_stderr)}",
+        f"residual = {fmt17(result.fit_residual)}",
+        f"points = {pts}",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def _regression_csv_text(result: sc.ScalingResult) -> str:
+    """CSV of the log-log regression points (ln N, ln|lambda_c^N - lambda_c|)."""
+    lines = ["ln_N,ln_abs_dev"]
+    for n, lcn in result.points:
+        dev = abs(lcn - result.lambda_c)
+        if dev == 0.0:
+            raise sc.FitError("zero deviation has no log-log image")
+        lines.append(f"{fmt17(math.log(n))},{fmt17(math.log(dev))}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_profile(cfg: RunConfig) -> int:
     sizes = cfg.sizes_or((40,))
     if len(sizes) != 1:
@@ -392,10 +418,10 @@ def cmd_scaling(cfg: RunConfig) -> int:
     points = _pseudo_criticals(cfg, {cfg.observable: [cfg.distance]}, sizes, [cfg.k])
     pts = points.get((cfg.observable, cfg.k, cfg.distance), [])
     result = sc.scaling_fit(pts, cfg.scaling_mode, cfg.lambda_c)
-    record = sc.scaling_record_text(result)
+    record = _scaling_record_text(result)
     sys.stdout.write(record)
     _write(_outpath(cfg, "scaling.txt"), record)
-    _write(_outpath(cfg, "regression.csv"), sc.regression_csv_text(result))
+    _write(_outpath(cfg, "regression.csv"), _regression_csv_text(result))
     return EXIT_OK
 
 

@@ -63,7 +63,8 @@ def _panels(a: float, b: float, width: float,
              *(b - s for s in reversed(steps[LEVELS - depth:])), b]
     panels = []
     for lo, hi in zip(edges, edges[1:]):
-        parts = max(1, math.ceil(min((hi - lo) / width, 2.0**62)))
+        ratio = (hi - lo) / width if width > 0.0 else math.inf  # width 0 needs every node
+        parts = max(1, math.ceil(min(ratio, 2.0**62)))
         panels.append((lo, hi, parts, _order((hi - lo) / parts, width)))
     if (size := sum(parts * order for *_, parts, order in panels)) > MAX_NODES:
         raise QuadratureError(f"a quadrature rule on [{a:g}, {b:g}] with panels at most "

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import fmt17
-
 
 class FitError(ValueError):
     """A least-squares fit is degenerate or leaves its domain of validity."""
@@ -272,29 +270,3 @@ def derivative_pseudo_critical(observable, fit_window=DEFAULT_FIT_WINDOW,
     denom = dm - 2.0 * d0 + dp
     shift = 0.0 if denom == 0.0 else 0.5 * (dm - dp) / denom
     return float(lams[i + 1] + shift * h)
-
-
-def scaling_record_text(result: ScalingResult) -> str:
-    """Flat key-value record of a scaling fit, one field per line."""
-    pts = "; ".join(f"{n}:{fmt17(l)}" for n, l in result.points)
-    lines = [
-        f"mode = {result.mode}",
-        f"lambda_c = {fmt17(result.lambda_c)}",
-        f"alpha = {fmt17(result.alpha)}",
-        f"q = {fmt17(result.q)}",
-        f"q_stderr = {fmt17(result.q_stderr)}",
-        f"residual = {fmt17(result.fit_residual)}",
-        f"points = {pts}",
-    ]
-    return "".join(line + "\n" for line in lines)
-
-
-def regression_csv_text(result: ScalingResult) -> str:
-    """CSV of the log-log regression points (ln N, ln|lambda_c^N - lambda_c|)."""
-    lines = ["ln_N,ln_abs_dev"]
-    for n, lcn in result.points:
-        dev = abs(lcn - result.lambda_c)
-        if dev == 0.0:
-            raise FitError("zero deviation has no log-log image")
-        lines.append(f"{fmt17(math.log(n))},{fmt17(math.log(dev))}")
-    return "\n".join(lines) + "\n"

@@ -10,8 +10,9 @@ gamma (finite and nonzero, gamma = 1 is the transverse Ising chain) and the
 inverse temperature beta_tilde, where ``math.inf`` selects the
 zero-temperature ground state exactly (the thermal tanh factor is replaced
 by 1, never by a large finite argument).
-Every observable function here evaluates an `ObservableCurve`, the one
-door to the kernel, so each refuses the parameters `ModelParams` refuses.
+`magnetization` and `correlator_G` each evaluate an `ObservableCurve`, the
+one door to the kernel, so each refuses the parameters `ModelParams`
+refuses.
 
 Both sizes share one kernel: one set of term expressions (`_terms`) and
 one chunked mode sum (`_chunked_mode_sums`).  With d = cos phi - lam and
@@ -43,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -109,7 +109,9 @@ class ObservableKind:
     def __post_init__(self):
         if self.name not in _OBSERVABLE_NAMES:
             raise ValueError(f"unknown observable {self.name!r}")
-        if not float(self.r).is_integer():  # refuses nan and inf too
+        # an int is integral at any size; float() of another type refuses
+        # nan and inf too
+        if not (isinstance(self.r, int) or float(self.r).is_integer()):
             raise ValueError(f"correlator offset must be an integer, got {self.r!r}")
         object.__setattr__(self, "r", int(self.r))
         if self.r and self.name != "g":
@@ -134,15 +136,6 @@ def _energy(d, s2, out=None):
     energy = np.square(d, out=out)
     energy += s2
     return np.sqrt(energy, out=out)
-
-
-def dispersion(phi, lam, gamma):
-    """Quasiparticle energy sqrt(gamma^2 sin^2 phi + (lam - cos phi)^2).
-
-    Accepts scalars or arrays; even in gamma by construction.
-    """
-    s = gamma * np.sin(phi)
-    return _energy(np.cos(phi) - lam, s * s)
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,7 @@ def _rule_args(gamma, offsets) -> tuple[float, float, float, int]:
     for lam >= 0 the dispersion vanishes near pi only for |gamma| > 1, at
     imaginary distance atanh(1/|gamma|), which ceil(log2(pi |gamma|))
     halvings toward pi resolve."""
-    width = min(2.0 * abs(gamma), 4.0 / max([1, *map(abs, offsets)]))
+    width = min(2.0 * abs(gamma), 4 / max([1, *map(abs, offsets)]))  # an int of any size
     depth = 0 if abs(gamma) <= 1.0 else math.ceil(math.log2(math.pi * abs(gamma)))
     return 0.0, math.pi, width, min(depth, LEVELS)
 
@@ -359,59 +352,27 @@ def _curves(kinds, lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
     return np.stack([tzz if row is None else means[row] for row in rows])
 
 
-def mz_curve(lams, gamma, beta_tilde=math.inf, size=None) -> np.ndarray:
-    """Transverse magnetization at each field in lams (vectorized).
+def magnetization(params: ModelParams) -> float:
+    """Transverse magnetization M_z for the given parameters.
 
     Finite size: -(2/N) sum_p tanh(bt*L_p/2)(cos phi_p - lam)/L_p.
     Infinite size: the same integrand averaged over [0, pi], a weighted
     sum over the nodes of the graded Gauss-Legendre rule.
     """
-    return ObservableCurve(ObservableKind("mz"), gamma, beta_tilde, size)(lams)
+    curve = ObservableCurve(ObservableKind("mz"), params.gamma, params.beta_tilde,
+                            params.system_size)
+    return float(curve(params.lam))
 
 
-def magnetization(params: ModelParams) -> float:
-    """Transverse magnetization M_z for the given parameters."""
-    return float(
-        mz_curve(params.lam, params.gamma, params.beta_tilde, params.system_size)
-    )
-
-
-def correlator_curve(r: int, lams, gamma, size=None) -> np.ndarray:
-    """String correlator G(r, lam) at zero temperature (vectorized in lam).
+def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:
+    """Zero-temperature two-point correlator G(r, lam).
 
     Infinite size: (1/pi) int_0^pi [gamma sin(r phi) sin phi
     - cos(r phi)(cos phi - lam)] / Lambda dphi, by the graded rule, whose
     panels are at most 4/|r| wide.  Finite size: the discrete momentum sum
     with the same integrand, (1/pi)int -> (2/N)sum, for |r| <= N/2.
     """
-    return ObservableCurve(ObservableKind("g", r), gamma, size=size)(lams)
-
-
-def correlator_G(r: int, lam: float, gamma: float, size: int | None = None) -> float:
-    """Zero-temperature two-point correlator G(r, lam)."""
-    return float(correlator_curve(r, lam, gamma, size))
-
-
-def tzz_curve(lams, gamma, size=None) -> np.ndarray:
-    """T_zz = M_z^2 - G(-1) G(+1) at zero temperature (vectorized in lam).
-
-    One pass computes each Lambda once per (lam, mode) and sums the M_z,
-    G(-1) and G(+1) terms from it: the momenta at finite size, the nodes of
-    one graded rule at N = inf.
-    """
-    return ObservableCurve(ObservableKind("tzz"), gamma, size=size)(lams)
-
-
-_NN = (ObservableKind("txx"), ObservableKind("tyy"), ObservableKind("tzz"))
-
-
-def correlators_nn(lam: float, gamma: float, size: int | None = None):
-    """Nearest-neighbor correlators (T_xx, T_yy, T_zz) at zero temperature,
-    from one joint pass.
-
-    T_xx = G(-1), T_yy = G(+1), T_zz = M_z^2 - G(-1) G(+1).
-    """
-    return tuple(ObservableCurve(_NN, gamma, size=size)(lam).tolist())
+    return float(ObservableCurve(ObservableKind("g", r), gamma, size=size)(lam))
 
 
 @dataclass(frozen=True)
@@ -465,24 +426,3 @@ class ObservableCurve:
     def __call__(self, lams) -> np.ndarray:
         rows = _curves(self.kinds, lams, self.gamma, self.beta_tilde, self.size)
         return rows if isinstance(self.kind, tuple) else rows[0]
-
-
-def observable_curve(
-    kind: ObservableKind,
-    lambda_grid: Sequence[float],
-    gamma: float,
-    beta_tilde: float = math.inf,
-    size: int | None = None,
-) -> list[tuple[float, float]]:
-    """Evaluate one observable over a strictly increasing field grid.
-
-    Returns (lam, value) pairs in grid order; evaluation is a single
-    deterministic vectorized pass, so output never depends on scheduling.
-    """
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda_grid is empty")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("lambda_grid must be strictly increasing")
-    values = ObservableCurve(kind, gamma, beta_tilde, size)(grid)
-    return list(zip(grid.tolist(), values.tolist()))

@@ -72,6 +72,8 @@ def run(argv, capsys):
         ["benford", "NUMBERS", "--auto-n"],
         # an observables grid past the per-window samples cap
         ["observables", "--n-sites", "40", "--n", "1000001"],
+        # an offset past the float range is an offset beyond N/2 all the same
+        ["observables", "--n-sites", "40", "--observable", "g:" + "9" * 400],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
@@ -109,11 +111,13 @@ def test_numeric_failures_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("observable", ["mz", "g:3"])
+@pytest.mark.parametrize("observable", ["mz", "g:3",
+                                        pytest.param("g:" + "9" * 400, id="g:9x400")])
 def test_quadrature_node_budget_exits_2(tmp_path, capsys, monkeypatch, observable):
-    # gamma = 1e-9 needs panels 2e-9 wide, about 2.5e10 nodes at N = inf:
-    # refused from the node count when the curve is built, before any
-    # window is sampled or any worker forked.
+    # gamma = 1e-9 needs panels 2e-9 wide, about 2.5e10 nodes at N = inf,
+    # and an offset past the float range panels 4/|r| = 0.0 wide: refused
+    # from the node count when the curve is built, before any window is
+    # sampled or any worker forked.
     def no_windows(*args, **kwargs):
         raise AssertionError("windows were computed")
 

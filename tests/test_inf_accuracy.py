@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from benfordxy.xy_model import correlator_curve, mz_curve, tzz_curve
+from benfordxy.xy_model import ObservableCurve, ObservableKind
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -61,12 +61,14 @@ def test_matches_adaptive_gauss_kronrod(gamma):
     mz = {}
     for beta_tilde in (math.inf, 5.0):
         mz[beta_tilde] = np.array([mz_reference(lam, gamma, beta_tilde) for lam in LAMS])
-        err = np.abs(mz_curve(lams, gamma, beta_tilde) - mz[beta_tilde])
+        curve = ObservableCurve(ObservableKind("mz"), gamma, beta_tilde)
+        err = np.abs(curve(lams) - mz[beta_tilde])
         assert err.max() <= TOL, ("mz", beta_tilde, LAMS[err.argmax()], err.max())
     g = {}
     for r in OFFSETS:
         g[r] = np.array([g_reference(r, lam, gamma) for lam in LAMS])
-        err = np.abs(correlator_curve(r, lams, gamma) - g[r])
+        err = np.abs(ObservableCurve(ObservableKind("g", r), gamma)(lams) - g[r])
         assert err.max() <= TOL, (f"g:{r}", LAMS[err.argmax()], err.max())
-    err = np.abs(tzz_curve(lams, gamma) - (mz[math.inf] ** 2 - g[-1] * g[1]))
+    tzz = ObservableCurve(ObservableKind("tzz"), gamma)(lams)
+    err = np.abs(tzz - (mz[math.inf] ** 2 - g[-1] * g[1]))
     assert err.max() <= TOL, ("tzz", LAMS[err.argmax()], err.max())

@@ -117,11 +117,12 @@ def test_reversed_interval_rejected():
 
 def test_budget_exhaustion_raises():
     # A rule over MAX_NODES is refused from its node count, before any
-    # array is built or the integrand is called.
+    # array is built or the integrand is called.  Width 0 (4/|r| at an
+    # offset past the float range) needs every node there is.
     def never(*args):
         raise AssertionError("the integrand was called")
 
-    for width in (1e-9, 5e-324, math.pi / MAX_NODES):
+    for width in (0.0, 1e-9, 5e-324, math.pi / MAX_NODES):
         with pytest.raises(QuadratureError):
             rule(0.0, math.pi, width)
         with pytest.raises(QuadratureError):
@@ -235,8 +236,8 @@ def test_n_inf_call_imports_neither_scipy_nor_numpy_polynomial():
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, benfordxy.cli\n"
-        "from benfordxy.xy_model import mz_curve\n"
-        "mz_curve([0.9, 1.0], 0.5)\n"
+        "from benfordxy.xy_model import ObservableCurve, ObservableKind\n"
+        "ObservableCurve(ObservableKind('mz'), 0.5)([0.9, 1.0])\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('scipy', 'numpy.polynomial'))))\n"
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from benfordxy import cli
 from benfordxy import scaling as sc
 
 from conftest import xy_curve
@@ -287,14 +288,14 @@ def test_derivative_pseudo_critical_chain_n40():
     assert 0.95 < lam < 1.05
 
 
-# ------------------------------------------------------------------ output
+# ------------------------------------------------ output (written by cli)
 
 
 def test_scaling_record_text_round_trips():
     result = sc.scaling_fit(_law_points(0.5, 2.0), "fixed", 1.0)
     fields = dict(
         line.split(" = ", 1)
-        for line in sc.scaling_record_text(result).splitlines()
+        for line in cli._scaling_record_text(result).splitlines()
     )
     assert fields["mode"] == "fixed"
     assert float(fields["q"]) == result.q
@@ -305,7 +306,7 @@ def test_scaling_record_text_round_trips():
 
 def test_regression_csv_text_layout_and_guard():
     result = sc.scaling_fit(_law_points(0.5, 2.0), "fixed", 1.0)
-    lines = sc.regression_csv_text(result).splitlines()
+    lines = cli._regression_csv_text(result).splitlines()
     assert lines[0] == "ln_N,ln_abs_dev"
     assert len(lines) == len(result.points) + 1
     ln_n, ln_dev = (float(tok) for tok in lines[1].split(","))
@@ -315,4 +316,4 @@ def test_regression_csv_text_layout_and_guard():
         ((8, 1.0), (16, 1.1), (32, 1.2)), 1.0, 0.5, 2.0, "fixed", 0.0, 0.0
     )
     with pytest.raises(sc.FitError):
-        sc.regression_csv_text(degenerate)
+        cli._regression_csv_text(degenerate)

@@ -13,16 +13,23 @@ from benfordxy.xy_model import (
     ObservableCurve,
     ObservableKind,
     correlator_G,
-    correlator_curve,
-    correlators_nn,
-    dispersion,
     magnetization,
-    mz_curve,
-    observable_curve,
-    tzz_curve,
 )
 
 SHIPPED_WORK_ELEMENTS = xy_model.WORK_ELEMENTS
+NN = (ObservableKind("txx"), ObservableKind("tyy"), ObservableKind("tzz"))
+
+
+def _curve(name, gamma, size=None, beta_tilde=math.inf):
+    """The `ObservableCurve` of the kind named name ('mz', 'g:3', ...)."""
+    return ObservableCurve(ObservableKind.parse(name), gamma, beta_tilde, size)
+
+
+def _dispersion(phi, lam, gamma):
+    """The kernel's quasiparticle energy sqrt((gamma sin phi)^2 +
+    (cos phi - lam)^2), from `xy_model._energy`."""
+    s = gamma * np.sin(phi)
+    return xy_model._energy(np.cos(phi) - lam, s * s)
 
 
 def test_params_validation():
@@ -40,18 +47,16 @@ def test_params_validation():
     ModelParams(1.0, -0.5)  # negative anisotropy is allowed
 
 
-#: each public observable function at (gamma, size, **beta_tilde)
+#: each public observable function, a single curve and a joint curve at
+#: (gamma, size, **beta_tilde)
 OBSERVABLE_FUNCTIONS = {
-    "mz_curve": lambda g, n, **bt: mz_curve([0.5, 1.0], g, size=n, **bt),
     "magnetization": lambda g, n, **bt: magnetization(ModelParams(0.5, g, system_size=n, **bt)),
-    "observable_curve": lambda g, n, **bt: observable_curve(ObservableKind("mz"), [0.5, 1.0], g,
-                                                            size=n, **bt),
-    "tzz_curve": lambda g, n: tzz_curve([0.5, 1.0], g, n),
-    "correlator_curve": lambda g, n: correlator_curve(1, [0.5, 1.0], g, n),
     "correlator_G": lambda g, n: correlator_G(1, 0.5, g, n),
-    "correlators_nn": lambda g, n: correlators_nn(0.5, g, n),
+    "observable_curve": lambda g, n, **bt: ObservableCurve(ObservableKind("mz"), g, size=n,
+                                                           **bt)([0.5, 1.0]),
+    "joint_curve": lambda g, n: ObservableCurve(NN, g, size=n)([0.5, 1.0]),
 }
-TAKES_BETA = {"mz_curve", "magnetization", "observable_curve"}
+TAKES_BETA = {"magnetization", "observable_curve"}
 
 
 @pytest.mark.parametrize("name", sorted(OBSERVABLE_FUNCTIONS))
@@ -83,7 +88,7 @@ def test_gamma_beyond_the_squared_range_is_refused(size):
         with pytest.raises(ValueError, match="gamma"):
             ObservableCurve(txx, gamma, size=size)
         with pytest.raises(ValueError, match="gamma"):
-            correlator_curve(-1, [0.5], gamma, size)
+            _curve("g:-1", gamma, size)([0.5])
     # at the largest accepted |gamma| the G(-1) term is -sign(gamma) sin(phi)
     # but within 1e-150 of phi = pi; at finite N the phi = pi mode, whose
     # sine is exactly 0, has the term -cos(-pi) d/|d| = -1 (d = -1.5)
@@ -151,16 +156,16 @@ def test_mode_constants_are_built_once_per_size_and_gamma():
 def test_dispersion_identities():
     # Lambda(0) = |lam - 1| and the gap closes exactly at lam = 1.
     for lam in (0.3, 1.0, 1.7):
-        assert abs(dispersion(0.0, lam, 0.5) - abs(lam - 1.0)) < 1e-15
-    assert dispersion(0.0, 1.0, 0.5) == 0.0
+        assert abs(_dispersion(0.0, lam, 0.5) - abs(lam - 1.0)) < 1e-15
+    assert _dispersion(0.0, 1.0, 0.5) == 0.0
     # even in phi, even in gamma
     phi = np.linspace(0.1, 3.0, 7)
-    assert np.allclose(dispersion(phi, 0.8, 0.5), dispersion(-phi, 0.8, 0.5))
-    assert np.allclose(dispersion(phi, 0.8, 0.5), dispersion(phi, 0.8, -0.5))
+    assert np.allclose(_dispersion(phi, 0.8, 0.5), _dispersion(-phi, 0.8, 0.5))
+    assert np.allclose(_dispersion(phi, 0.8, 0.5), _dispersion(phi, 0.8, -0.5))
     # hand value: gamma^2 sin^2 + (lam - cos)^2 at phi = pi/2
-    assert abs(dispersion(np.pi / 2, 1.0, 0.5) - math.sqrt(1.25)) < 1e-15
+    assert abs(_dispersion(np.pi / 2, 1.0, 0.5) - math.sqrt(1.25)) < 1e-15
     # hand value at phi = pi/3: 0.25 * 0.75 + 0.3^2 = 0.2775
-    assert abs(dispersion(np.pi / 3, 0.8, 0.5) - math.sqrt(0.2775)) < 1e-15
+    assert abs(_dispersion(np.pi / 3, 0.8, 0.5) - math.sqrt(0.2775)) < 1e-15
 
 
 def test_closed_form_magnetization():
@@ -181,7 +186,7 @@ def test_closed_form_correlator():
 
 
 def test_nn_correlator_identity():
-    txx, tyy, tzz = correlators_nn(0.7, 0.5, size=40)
+    txx, tyy, tzz = ObservableCurve(NN, 0.5, size=40)(0.7).tolist()
     mz = magnetization(ModelParams(0.7, 0.5, system_size=40))
     assert abs(tzz - (mz * mz - txx * tyy)) < 1e-14
     assert abs(txx - correlator_G(-1, 0.7, 0.5, 40)) < 1e-15
@@ -246,10 +251,10 @@ def test_non_integer_correlator_offsets_are_refused():
         with pytest.raises(ValueError, match="integer"):
             ObservableKind("g", r)
     with pytest.raises(ValueError, match="integer"):
-        correlator_curve(1.5, 0.5, 0.5, 40)
+        ObservableCurve(ObservableKind("g", 1.5), 0.5, size=40)(0.5)
     assert ObservableKind("g", np.int64(2)) == ObservableKind("g", 2)
-    assert np.array_equal(correlator_curve(np.int64(2), [0.5], 0.5, 40),
-                          correlator_curve(2, [0.5], 0.5, 40))
+    assert np.array_equal(ObservableCurve(ObservableKind("g", np.int64(2)), 0.5, size=40)([0.5]),
+                          ObservableCurve(ObservableKind("g", 2), 0.5, size=40)([0.5]))
 
 
 def _pointwise(name, beta_tilde, lams, size):
@@ -397,7 +402,7 @@ def test_kernel_keeps_reference_bits(size, gamma):
     # term is 0 and its G term below 1e-38.
     phi = 2.0 * np.pi * np.arange(1, size // 2 + 1) / size
     lams = np.concatenate((np.linspace(-1.5, 2.5, 1201), np.cos(phi), [-1.0, 1.0]))
-    assert np.any(dispersion(phi, np.cos(phi), gamma) == 0.0) == (gamma == 1e-200)
+    assert np.any(_dispersion(phi, np.cos(phi), gamma) == 0.0) == (gamma == 1e-200)
     for name, beta_tilde in (("mz", math.inf), ("mz", 5.0), ("txx", math.inf),
                              ("tyy", math.inf), ("g:3", math.inf), ("tzz", math.inf)):
         if name == "g:3" and size < 6:
@@ -564,22 +569,13 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         ObservableCurve(ObservableKind("g", 30), gamma=0.5, size=20)
     with pytest.raises(ValueError):
-        correlator_curve(11, [1.0], 0.5, size=20)
-
-
-def test_observable_curve_grid_rules():
-    rows = observable_curve(ObservableKind("mz"), [0.5, 1.0, 1.5], 0.5, size=12)
-    assert [lam for lam, _ in rows] == [0.5, 1.0, 1.5]
-    with pytest.raises(ValueError):
-        observable_curve(ObservableKind("mz"), [], 0.5)
-    with pytest.raises(ValueError):
-        observable_curve(ObservableKind("mz"), [1.0, 0.5], 0.5)
+        _curve("g:11", 0.5, size=20)([1.0])
 
 
 def test_scalar_and_array_field_shapes():
-    assert np.shape(mz_curve(0.9, 0.5, size=20)) == ()
-    assert mz_curve(np.linspace(0.5, 1.5, 7), 0.5, size=20).shape == (7,)
-    assert mz_curve([1.0], 1.0).shape == (1,)
+    assert np.shape(_curve("mz", 0.5, size=20)(0.9)) == ()
+    assert _curve("mz", 0.5, size=20)(np.linspace(0.5, 1.5, 7)).shape == (7,)
+    assert _curve("mz", 1.0)([1.0]).shape == (1,)
     for name in ("mz", "tzz"):
         curve = ObservableCurve(ObservableKind(name), gamma=0.5, size=20)
         assert curve(np.zeros((0, 3))).shape == (0, 3)
@@ -597,11 +593,11 @@ def test_thermodynamic_limit_parity_is_exact(gamma):
     # bit for bit.
     x = PARITY_LAMS
     for beta_tilde in (math.inf, 5.0):
-        want = -mz_curve(x, gamma, beta_tilde)
-        assert mz_curve(-x, gamma, beta_tilde).tobytes() == want.tobytes(), beta_tilde
+        mz = _curve("mz", gamma, beta_tilde=beta_tilde)
+        assert mz(-x).tobytes() == (-mz(x)).tobytes(), beta_tilde
     for r in (-1, 1, 2, 3, -30):
-        want = (-1) ** (r + 1) * correlator_curve(r, x, gamma)
-        assert correlator_curve(r, -x, gamma).tobytes() == want.tobytes(), r
+        g = _curve(f"g:{r}", gamma)
+        assert g(-x).tobytes() == ((-1) ** (r + 1) * g(x)).tobytes(), r
     joint = ObservableCurve(tuple(ObservableKind.parse(k) for k in ("mz", "txx", "tzz")), gamma)
     want = joint(x) * np.array([[-1.0], [1.0], [1.0]])
     assert joint(-x).tobytes() == want.tobytes()
