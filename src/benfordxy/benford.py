@@ -9,15 +9,18 @@ nearly uniform there.
 
 Frequency tables hold one real-valued count per key (9 * 10^(k-1) bins
 from key 10^(k-1), a layout only this module builds) plus the effective
-sample count.  Extraction is exponent arithmetic: the decade e of |x|
-follows the stored double (1e23 keys as 9), and |x| * 10^(k-1-e) is
-rounded once before the floor, which can lift a double just below a
-k-digit decimal onto it (0.7 keys as 7, and 0.123 as 1230 at depth 4).
+sample count.  Extraction is a table lookup: the decade e of |x| is that
+of the last tabled power of ten at or below it, one lower where |x| is a
+tabled double stored below its power, so e follows the stored double
+(1e23 keys as 9).  Then |x| * 10^(k-1-e) is rounded once (a multiply, or
+for e >= k a divide by 10^(e-k+1)) before the floor, which can lift a
+double just below a k-digit decimal onto it (0.7 keys as 7, and 0.123 as
+1230 at depth 4).
 
 `digit_keys` takes a fast path, trusting floor(log10) for the decade, and
-sends the values it cannot settle to the exact path (`_exact_keys`), which
-checks every decade against the boundary doubles.  Invariant: the fast
-path's keys equal the exact path's on every nonzero finite double.
+sends the values it cannot settle to that lookup (`_exact_keys`).
+Invariant: the fast path's keys equal the lookup's on every nonzero
+finite double.
 """
 
 from __future__ import annotations
@@ -64,32 +67,6 @@ _POW10, _POW10_BELOW = _pow10_tables()
 # tests/test_benford.py).
 _FAST_BOUNDS = {k: (np.nextafter(10.0 ** (k - 1), math.inf), np.nextafter(10.0**k, 0.0))
                 for k in range(1, MAX_DEPTH + 1)}
-
-
-def _pow10(p: np.ndarray) -> np.ndarray:
-    """Correctly rounded 10**p for an int64 array p in [-340, 340]."""
-    return _POW10[p + _POW_RANGE]
-
-
-def _floor_scale(ax: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """floor(ax * 10**p) with a single correctly rounded float operation.
-
-    Negative powers divide by the exact positive power instead of
-    multiplying by a reciprocal (10**-q is never a double, so that
-    product would round twice).  When every power has one sign (always so
-    for min-max normalized data) no entry is gathered by mask.
-    """
-    neg = p < 0
-    if not neg.any():
-        scaled = ax * _pow10(p)
-    elif neg.all():
-        scaled = ax / _pow10(-p)
-    else:
-        scaled = np.empty_like(ax)
-        scaled[neg] = ax[neg] / _pow10(-p[neg])
-        pos = ~neg
-        scaled[pos] = ax[pos] * _pow10(p[pos])
-    return np.floor(scaled).astype(np.int64)
 
 
 def _check_depth(k: int):
@@ -153,35 +130,19 @@ def _magnitudes(values) -> np.ndarray:
 
 
 def _exact_keys(ax: np.ndarray, k: int) -> np.ndarray:
-    """Keys of magnitudes from `_magnitudes`, the decade checked against the
-    boundary doubles and every power applied in one rounding."""
-    exp = np.floor(np.log10(ax)).astype(np.int64)
-    # floor(log10) lands one decade off when the value sits within an ulp
-    # of a decade boundary; verify against the boundary doubles.  low is
-    # the boundary double of the decade exp throughout.
-    low = _pow10(exp)
-    off = ax < low
-    if off.any():
-        exp[off] -= 1
-        low[off] = _pow10(exp[off])
-    high = _pow10(exp + 1)
-    off = ax >= high
-    if off.any():
-        exp[off] += 1
-        low[off] = high[off]
-    # a value equal to a boundary double that itself sits below its decade
-    # (1e23 stores as 9.99...e22) has stored digits of all nines, so it
-    # keys one decade down
-    bnd = ax == low
-    if bnd.any():
-        bnd[bnd] = _POW10_BELOW[exp[bnd] + _POW_RANGE]
-        exp[bnd] -= 1
+    """Keys of magnitudes from `_magnitudes` by the module's table lookup
+    (a divide for a negative power: 10**-q is never a double)."""
+    i = np.floor(np.log10(ax)).astype(np.intp) + _POW_RANGE  # at most one off
+    i -= ax < _POW10[i]
+    i += ax >= _POW10[i + 1]
+    i -= (ax == _POW10[i]) & _POW10_BELOW[i]  # 1e23 stores as 9.99...e22
+    p = (k - 1 + _POW_RANGE) - i  # the power, with the decade at i - _POW_RANGE
+    scaled = ax * _POW10[p + _POW_RANGE]
+    np.divide(ax, _POW10[_POW_RANGE - p], out=scaled, where=p < 0)
+    # the scaled value can only leave the key range by rounding across it,
+    # which pins the digits: all nines above, a 1 and zeros below
     lo, hi = key_bounds(k)
-    m = _floor_scale(ax, (k - 1) - exp)
-    # with the exponent settled, the scaled value can only leave the key
-    # range by rounding across it, which pins the digits: all nines above
-    # (clamp to hi), a bare 1 followed by zeros below (clamp to lo)
-    return np.minimum(np.maximum(m, lo, out=m), hi, out=m)
+    return np.clip(np.floor(scaled).astype(np.int64), lo, hi)
 
 
 @functools.cache

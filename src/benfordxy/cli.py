@@ -268,7 +268,7 @@ def cmd_observables(cfg: RunConfig) -> int:
     sizes = cfg.sizes_or((None,))
     if len(sizes) != 1:
         raise UsageError("observables takes exactly one --n-sites value")
-    n = cfg.n if cfg.n is not None else 201
+    n = cfg.resolved_n(cfg.k)
     if not 1 <= n <= MAX_WINDOW_SAMPLES:
         raise UsageError(f"grid of n = {n} points, need 1 to {MAX_WINDOW_SAMPLES}")
     curve = _curve(cfg, sizes[0])

@@ -57,6 +57,8 @@ def _panels(a: float, b: float, width: float,
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
     if not 0 <= depth <= LEVELS:
         raise ValueError(f"depth must be in 0..{LEVELS}, got {depth}")
+    if math.isnan(width):
+        raise ValueError(f"panel width must be a number, got {width}")
     h = 0.5 * (b - a)
     steps = [h * 2.0**-j for j in range(LEVELS, 0, -1)]
     edges = [a, *(a + s for s in steps), a + h,

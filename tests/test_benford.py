@@ -1,5 +1,6 @@
 """Unit tests for digit extraction, frequency tables, and distances."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -118,6 +119,55 @@ def test_fast_keys_equal_exact_keys():
         want = benford._exact_keys(benford._magnitudes(vals), k)
         mismatched = np.flatnonzero(keys != want)
         assert mismatched.size == 0, (k, vals[mismatched[:5]])
+
+
+def reference_key(x: float, k: int) -> int:
+    """The key of a magnitude by exact rational arithmetic: the decade from
+    a search of the power table, one down at a boundary double below its
+    power of ten, and the power applied as one correctly rounded multiply
+    or divide (as IEEE arithmetic and float(Fraction) both round)."""
+    pow10, origin = benford._POW10, benford._POW_RANGE
+    e = bisect.bisect_right(pow10.tolist(), x) - 1 - origin
+    if x == pow10[e + origin] and Fraction(x) < Fraction(10) ** e:
+        e -= 1
+    p = k - 1 - e
+    if p >= 0:
+        scaled = float(Fraction(x) * Fraction(pow10[p + origin]))
+    else:
+        scaled = float(Fraction(x) / Fraction(pow10[origin - p]))
+    lo, hi = benford.key_bounds(k)
+    return min(max(math.floor(scaled), lo), hi)
+
+
+def test_exact_keys_equal_reference_keys():
+    # the exact path against exact rational arithmetic, on the values where
+    # a decade or a rounding can slip
+    rng = np.random.default_rng(31)
+    bounds = benford._POW10[(benford._POW10 > 1e-290) & (benford._POW10 < math.inf)]
+    near = [bounds]
+    down = up = bounds
+    for _ in range(2):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        near += [down, up]
+    common = np.concatenate([
+        *near,  # every boundary double above 1e-290 and 2 ulps on each side
+        [1e23, 1e-197, 0.7, 0.123, 0.17, 999.9999999999999],
+        10.0 ** rng.uniform(-323.5, -290.0, 300),  # near-denormals, lifted
+        10.0 ** rng.uniform(4.0, 308.25, 300),  # at least 10**k at every k
+    ])
+    for k in (1, 2, 3, 4):
+        decimals = _decimal_neighbours(k)
+        decimals = rng.choice(decimals, min(3000, decimals.size), replace=False)
+        # k-digit decimals of 10**k and up, which divide by the power: a
+        # multiply by its reciprocal rounds twice and misses some
+        large = np.array([float(f"{m}e{j}") for m, j in zip(
+            rng.integers(10 ** (k - 1), 10**k, 500), rng.integers(k, 300, 500))])
+        ax = benford._magnitudes(np.concatenate([
+            common, decimals, large, np.nextafter(large, 0.0), np.nextafter(large, np.inf)]))
+        got = benford._exact_keys(ax, k)
+        want = [reference_key(x, k) for x in ax.tolist()]
+        mismatched = np.flatnonzero(got != want)
+        assert mismatched.size == 0, (k, ax[mismatched[:5]])
 
 
 def test_fast_bounds_catch_every_decade_slip():

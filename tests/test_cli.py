@@ -218,6 +218,15 @@ def test_observables_xx_correlator_at_zero_field(tmp_path, capsys):
     assert abs(val - (-1.0)) < 1e-10
 
 
+def test_observables_full_grid_is_the_converged_n(tmp_path, capsys):
+    # --full leaves n unset, so the grid takes the depth's converged n
+    code, _, _ = run(["observables", "--n-sites", "14", "--full", "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    lines = (tmp_path / "observables.csv").read_text().splitlines()
+    assert len(lines) == 1 + cli.CONVERGED_N[1] == 10_001
+
+
 def test_observables_grid_layout(tmp_path, capsys):
     code, _, _ = run(
         ["observables", "--a", "0.5", "--b", "1.5", "--n", "11",

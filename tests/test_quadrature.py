@@ -115,6 +115,11 @@ def test_reversed_interval_rejected():
         rule(1.0, 1.0)
 
 
+def test_nan_width_rejected():
+    with pytest.raises(ValueError, match="width"):
+        rule(0.0, math.pi, math.nan)
+
+
 def test_budget_exhaustion_raises():
     # A rule over MAX_NODES is refused from its node count, before any
     # array is built or the integrand is called.  Width 0 (4/|r| at an
