@@ -1,11 +1,13 @@
 """A fixed graded Gauss-Legendre rule for the momentum integrals, analytic on
 [0, pi] but for layers at phi = 0 (lam -> 1), phi = pi (lam -> -1, or for
 |gamma| > 1 a zero of the dispersion atanh(1/|gamma|) off the axis) and,
-for small gamma, of width ~gamma at cos phi = lam: panels halving LEVELS
-times toward a and `depth` times toward b, none wider than a given width,
-converge exponentially on them (hp-quadrature; Trefethen, Approximation
-Theory and Approximation Practice).  The N = inf observables take lam < 0
-from lam > 0 by parity, so grade toward pi only as deep as lam >= 0 needs.
+for small gamma, of width ~gamma at cos phi = lam: panels halving
+`depth_a` times toward a and `depth` times toward b (each at most LEVELS,
+and LEVELS unless given), none wider than a given width, converge
+exponentially on them (hp-quadrature; Trefethen, Approximation Theory and
+Approximation Practice).  The N = inf observables take lam < 0 from lam > 0
+by parity, so grade toward pi only as deep as lam >= 0 needs, and toward 0
+only as deep as each field's distance from |lam| = 1 needs.
 
 Gauss-Legendre error on a part falls like rho^(-2n) in its node count n,
 where rho is the sum of the semi-axes of the largest Bernstein ellipse on
@@ -19,7 +21,8 @@ width bound every part keeps ORDER nodes.
 
 `rule` is cached, one entry per rule however it is called, and refuses
 more than MAX_NODES nodes from the panels' node count, before any array
-is built; `integrate` hands its integrand the whole rule at once.
+is built (the full-depth rule has the most, so it judges every shallower
+one); `integrate` hands its integrand the whole rule at once.
 """
 
 import functools
@@ -48,20 +51,21 @@ def _order(part: float, width: float) -> int:
     return math.ceil(ORDER * math.asinh(1.0) / log_rho)
 
 
-def _panels(a: float, b: float, width: float,
-            depth: int = LEVELS) -> list[tuple[float, float, int, int]]:
+def _panels(a: float, b: float, width: float, depth: int = LEVELS,
+            depth_a: int = LEVELS) -> list[tuple[float, float, int, int]]:
     """(lo, hi, parts, order) of each graded panel, halving from the midpoint
-    of [a, b] LEVELS times toward a and depth times toward b; parts equal
+    of [a, b] depth_a times toward a and depth times toward b; parts equal
     parts keep each at most width wide, and each part takes `_order` nodes."""
     if not b > a:
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
-    if not 0 <= depth <= LEVELS:
-        raise ValueError(f"depth must be in 0..{LEVELS}, got {depth}")
+    for name, levels in (("depth", depth), ("depth_a", depth_a)):
+        if not 0 <= levels <= LEVELS:
+            raise ValueError(f"{name} must be in 0..{LEVELS}, got {levels}")
     if math.isnan(width):
         raise ValueError(f"panel width must be a number, got {width}")
     h = 0.5 * (b - a)
     steps = [h * 2.0**-j for j in range(LEVELS, 0, -1)]
-    edges = [a, *(a + s for s in steps), a + h,
+    edges = [a, *(a + s for s in steps[LEVELS - depth_a:]), a + h,
              *(b - s for s in reversed(steps[LEVELS - depth:])), b]
     panels = []
     for lo, hi in zip(edges, edges[1:]):
@@ -84,19 +88,24 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x - x[::-1]), v[0] ** 2 + v[0, ::-1] ** 2
 
 
-def rule(a: float, b: float, width: float = math.inf,
-         depth: int = LEVELS) -> tuple[np.ndarray, np.ndarray]:
+def rule(a: float, b: float, width: float = math.inf, depth: int = LEVELS,
+         depth_a: int = LEVELS) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ascending nodes and weights on [a, b]: `_order` Gauss-Legendre
     nodes on each part of each graded panel (`_panels`), the parts of one
     order placed at once."""
-    return _rule(a, b, width, depth)
+    return _rule(a, b, width, depth, depth_a)
 
 
-@functools.lru_cache(maxsize=16)  # one rule per (gamma, offsets) in use
-def _rule(a: float, b: float, width: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    panels = _panels(a, b, width, depth)
-    cuts = np.concatenate([np.linspace(lo, hi, parts + 1)[:-1]
-                           for lo, hi, parts, _ in panels] + [[b]])
+# one rule per (gamma, offsets) and depth_a in use: the N = inf observables
+# take 11 depths_a (0, 4, ..., 40) per (gamma, offsets)
+@functools.lru_cache(maxsize=64)
+def _rule(a: float, b: float, width: float, depth: int,
+          depth_a: int) -> tuple[np.ndarray, np.ndarray]:
+    panels = _panels(a, b, width, depth, depth_a)
+    cuts = []
+    for lo, hi, parts, _ in panels:  # linspace(lo, hi, 2) starts at lo exactly
+        cuts += [lo] if parts == 1 else np.linspace(lo, hi, parts + 1)[:-1].tolist()
+    cuts = np.array(cuts + [b])
     half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     orders = np.repeat([order for *_, order in panels], [parts for *_, parts, _ in panels])
     first = np.cumsum(orders) - orders  # each part's first node

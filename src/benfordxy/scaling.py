@@ -65,7 +65,8 @@ def cubic_fit(points, fit_window) -> CubicFit:
     y = pts[mask, 1]
     if x.size < 8:
         raise FitError(f"need >= 8 points inside fit window, got {x.size}")
-    if np.unique(x).size < 4:
+    xs = np.sort(x)  # np.unique would import numpy.ma on its first call
+    if 1 + np.count_nonzero(xs[1:] != xs[:-1]) < 4:
         raise FitError("collinear x values: cubic design is rank deficient")
     x0 = x.mean()
     u = x - x0

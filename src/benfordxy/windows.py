@@ -39,11 +39,13 @@ import numpy as np
 from . import benford
 
 _BLOCK = 32  # windows per work unit; fixed so partitioning never depends on jobs
-#: most fields of one observable call: the N = inf kernel was fastest at
-#: 682-1 000 fields a call, and 4 096 fields or a whole block of 1e4-sample
-#: windows (2.5 MB arrays, which glibc hands back to the system after each
-#: call) was slower
-_CALL_FIELDS = 1024
+#: most fields of one observable call.  An N = inf call makes one mode sum
+#: per depth toward phi = 0 that its fields take, so wider calls share
+#: those groups: with 200- to 1 000-sample windows at N = 40, 400 and inf,
+#: 8 192 was 8-22 % faster than 1 024 and no slower than 4 096 (on a
+#: 2-vCPU Intel Xeon VM); a whole block of 1e4-sample windows (2.5 MB
+#: arrays, which glibc hands back to the system after each call) was slower
+_CALL_FIELDS = 8192
 #: most windows one sweep may hold (the --full preset has 19 001); a sweep
 #: past it is refused before anything is allocated for its windows
 MAX_WINDOWS = 1_000_000

@@ -389,6 +389,19 @@ def test_profile_meta_reproduces_run_byte_identically(tmp_path, capsys, extra):
     assert ("beta_tilde = 5\n" in (first / "profile.meta").read_text()) == bool(extra)
 
 
+def test_thermodynamic_limit_profile_is_byte_identical_across_jobs(tmp_path, capsys):
+    # 61 windows are two blocks of windows across lam = 1, whose fields
+    # take many depths toward phi = 0; each value depends on its own field
+    # alone, so one worker and two write the same bytes.
+    base = ["profile", "--n-sites", "inf", "--a", "0.8", "--b", "1.2", "--w", "0.1",
+            "--epsilon", "0.005", "--n", "200"]
+    for jobs in ("1", "2"):
+        code, _, _ = run(base + ["--jobs", jobs, "--out", str(tmp_path / jobs)], capsys)
+        assert code == 0
+    for name in ("profile.csv", "profile.meta"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_auto_n_writes_the_converged_profile_without_another_pass(tmp_path, capsys,
                                                                  monkeypatch):
     # convergence_check has already profiled the converged n: --auto-n

@@ -103,7 +103,9 @@ def test_one_cache_entry_per_rule():
     # defaults left out, given by name or given by position are one rule
     quadrature._rule.cache_clear()
     forms = [rule(0.0, math.pi, 0.5), rule(0.0, math.pi, width=0.5),
-             rule(0.0, math.pi, 0.5, quadrature.LEVELS)]
+             rule(0.0, math.pi, 0.5, quadrature.LEVELS),
+             rule(0.0, math.pi, 0.5, quadrature.LEVELS, quadrature.LEVELS),
+             rule(0.0, math.pi, 0.5, depth_a=quadrature.LEVELS)]
     assert all(form is forms[0] for form in forms)
     assert quadrature._rule.cache_info().currsize == 1
 
@@ -188,10 +190,20 @@ def test_depth_grades_toward_b_only_as_deep_as_asked():
         panels = quadrature._panels(0.0, math.pi, math.inf, depth)
         assert len(panels) == quadrature.LEVELS + 2 + depth
         assert panels[-1][:2] == (math.pi - math.pi * 2.0 ** -(depth + 1), math.pi)
-    assert quadrature._panels(0.0, 1.0, 0.2) == quadrature._panels(0.0, 1.0, 0.2, 40)
+    assert quadrature._panels(0.0, 1.0, 0.2) == quadrature._panels(0.0, 1.0, 0.2, 40, 40)
     for depth in (-1, quadrature.LEVELS + 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="depth must"):
             rule(0.0, 1.0, math.inf, depth)
+        with pytest.raises(ValueError, match="depth_a must"):
+            rule(0.0, 1.0, math.inf, 0, depth)
+    # and depth_a toward a: depth_a + 1 panels in the left half, the first
+    # pi 2^-(depth_a + 1) wide; the others are the full-depth rule's own
+    full = quadrature._panels(0.0, math.pi, 1.0, 0)
+    for depth_a in (0, 1, 8, quadrature.LEVELS):
+        panels = quadrature._panels(0.0, math.pi, 1.0, 0, depth_a)
+        assert len(panels) == depth_a + 2
+        assert panels[0][:2] == (0.0, math.pi * 2.0 ** -(depth_a + 1))
+        assert panels[1:] == full[len(full) - len(panels) + 1:]
     # gamma above 1 grades toward pi ceil(log2(pi |gamma|)) times
     depths = [_rule_args(g, ())[3] for g in (-1.0, 1.0, 1.01, 2.0, -1e3, 1e150)]
     assert depths == [0, 0, 2, 3, 12, quadrature.LEVELS]
@@ -200,15 +212,26 @@ def test_depth_grades_toward_b_only_as_deep_as_asked():
 
 DENSE_GAMMAS = (0.02, 0.1, 0.5, 1.0, 5.0)
 DENSE_KINDS = ("mz", "txx", "tyy", "g:2", "g:3", "g:7", "g:30", "g:-30", "g:300", "g:3000")
-DENSE_LAMS = np.unique(np.concatenate([
+DENSE_LAMS = np.concatenate([
     np.linspace(-2.5, 2.5, 901),
     [side * (1.0 + sign * 10.0**-k) for side in (1, -1) for sign in (1, -1)
      for k in range(1, 14)],
-]))
+])
+
+
+def _dense_lams(gamma):
+    """DENSE_LAMS and, on both sides of lam = +-1, the fields |1 - |lam|| =
+    pi |gamma| 2^-j: each the nearest to 1 of those `_depths_a` grades
+    alike before the depths are rounded up, so the least graded for its
+    distance."""
+    edge = math.pi * abs(gamma) * 2.0 ** -np.arange(2, quadrature.LEVELS + 1)
+    near = np.concatenate([1.0 + edge, 1.0 - edge[edge < 1.0]])
+    return np.unique(np.concatenate([DENSE_LAMS, near, -near]))
 
 
 def _sixteen_nodes_per_part(a, b, width, depth):
-    """The rule on the same panels and parts with ORDER nodes on each part."""
+    """The rule on the same panels and parts, graded LEVELS times toward a,
+    with ORDER nodes on each part."""
     x, w = quadrature._gauss_legendre(ORDER)
     panels = quadrature._panels(a, b, width, depth)
     cuts = np.concatenate([np.linspace(lo, hi, parts + 1)[:-1]
@@ -217,35 +240,90 @@ def _sixteen_nodes_per_part(a, b, width, depth):
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
+def _dense_error(gamma, monkeypatch):
+    """Worst |value - reference| of each DENSE_KINDS observable over
+    `_dense_lams(gamma)`, the reference taken on the full-depth panels at
+    ORDER nodes a part (`_sixteen_nodes_per_part`)."""
+    kinds = tuple(ObservableKind.parse(kind) for kind in DENSE_KINDS)
+    lams = _dense_lams(gamma)
+    got = ObservableCurve(kinds, gamma)(lams)
+
+    def sixteen(f, a, b, width, depth, depth_a):
+        return f(_sixteen_nodes_per_part(a, b, width, depth))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xy_model, "integrate", sixteen)
+        want = ObservableCurve(kinds, gamma)(lams)
+    return np.abs(got - want).max(axis=1)
+
+
 @pytest.mark.parametrize("gamma", DENSE_GAMMAS)
 def test_fewer_nodes_keep_the_sixteen_node_values(gamma, monkeypatch):
     # Every observable on a dense field grid through lam = +-1 (+-1e-13 ..
-    # 1e-1 on both sides) must stay within 5e-14 of the same panels and
-    # parts at ORDER nodes each; needs no scipy.
-    kinds = tuple(ObservableKind.parse(kind) for kind in DENSE_KINDS)
-    got = ObservableCurve(kinds, gamma)(DENSE_LAMS)
-
-    def sixteen(f, a, b, width, depth):
-        return f(_sixteen_nodes_per_part(a, b, width, depth))
-
-    monkeypatch.setattr(xy_model, "integrate", sixteen)
-    want = ObservableCurve(kinds, gamma)(DENSE_LAMS)
-    err = np.abs(got - want).max(axis=1)
+    # 1e-1 on both sides, and the least graded field of each depth), with
+    # each field graded toward phi = 0 by `_depths_a`, must stay within
+    # 5e-14 of the full-depth panels at ORDER nodes each; needs no scipy.
+    err = _dense_error(gamma, monkeypatch)
     assert err.max() <= 5e-14, dict(zip(DENSE_KINDS, err))
+
+
+@pytest.mark.parametrize("gamma, shallower", [(0.02, 4), (0.1, 3), (0.5, 3), (1.0, 3),
+                                              (5.0, 3)])
+def test_shallower_depths_break_the_sixteen_node_bound(gamma, shallower, monkeypatch):
+    # The bound above bites on the depths toward phi = 0: 3 halvings fewer
+    # than `_depths_a` gives break it at every gamma but 0.02, whose panels
+    # at most 0.04 wide leave a wider margin (6.3e-15 at 3 fewer), broken
+    # at 4 fewer.
+    depths_a = xy_model._depths_a
+    monkeypatch.setattr(xy_model, "_depths_a",
+                        lambda fields, gamma: np.maximum(depths_a(fields, gamma) - shallower, 0))
+    assert _dense_error(gamma, monkeypatch).max() > 5e-14
+
+
+def test_depths_toward_zero_follow_the_distance_to_the_critical_field():
+    # ceil(log2(pi |gamma| / |1 - |lam||)) + 2 halvings, rounded up to a
+    # multiple of DEPTH_STEP = 4, in 0..LEVELS: LEVELS at |lam| = 1 and at a
+    # non-finite field, with no floating-point warning.  At gamma = 0.5,
+    # lam = 0.9 takes ceil(3.97) + 2 = 6 -> 8, and 1 - 1e-9 ceil(30.55) + 2
+    # = 33 -> 36.
+    fields = np.array([0.0, 0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 2.0**-52, 1.5, 1e300,
+                       math.inf, math.nan])
+    with np.errstate(all="raise"):
+        assert xy_model._depths_a(fields, 0.5).tolist() == [4, 4, 8, 36, 40, 40, 4, 0, 40, 40]
+        assert xy_model._depths_a(np.array([0.0]), 1e150).tolist() == [40]
+    assert xy_model.DEPTH_STEP == 4 and quadrature.LEVELS == 40
+
+
+def _modules_loaded_by(code, packages):
+    """The modules of packages that a fresh interpreter has loaded after
+    running code, which imports benfordxy.cli first."""
+    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (f"import sys, benfordxy.cli\n{code}"
+            f"print(sorted(m for m in sys.modules for p in {packages!r}\n"
+            f"             if m == p or m.startswith(p + '.')))\n")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+N_INF_CALL = ("from benfordxy.xy_model import ObservableCurve, ObservableKind\n"
+              "ObservableCurve(ObservableKind('mz'), 0.5)([0.5, 0.9, 1.0 - 1e-9, 1.0])\n")
 
 
 def test_n_inf_call_imports_neither_scipy_nor_numpy_polynomial():
     # The rule is built with numpy.linalg alone: numpy.polynomial's lazy
     # import and leggauss would cost a fifth of an N = inf profile.
-    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, benfordxy.cli\n"
-        "from benfordxy.xy_model import ObservableCurve, ObservableKind\n"
-        "ObservableCurve(ObservableKind('mz'), 0.5)([0.9, 1.0])\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy', 'numpy.polynomial'))))\n"
+    assert _modules_loaded_by(N_INF_CALL, ("scipy", "numpy.polynomial")) == "[]\n"
+
+
+def test_n_inf_call_and_cubic_fit_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call (about 20 ms): neither
+    # the grouping of N = inf fields by depth nor the cubic fit's count of
+    # distinct x may use it.
+    code = N_INF_CALL + (
+        "import numpy as np\n"
+        "from benfordxy.scaling import cubic_fit\n"
+        "x = np.repeat(np.linspace(0.9, 1.1, 5), 2)\n"
+        "cubic_fit(np.column_stack([x, (x - 1.0) ** 3]), (0.8, 1.2))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    assert _modules_loaded_by(code, ("numpy.ma",)) == "[]\n"

@@ -615,10 +615,11 @@ def test_thermodynamic_limit_signed_zero_and_mixed_signs():
             assert got[..., sign].tobytes() == curve(lams[sign]).tobytes(), curve.label
 
 
-def test_thermodynamic_limit_builds_one_rule_and_calls_it_once(monkeypatch):
-    # A curve's construction builds the rule its calls run on, so
-    # constructing and calling it misses the rule cache once; a call with
-    # fields of both signs is one integrate call per rule.
+def test_thermodynamic_limit_builds_one_rule_per_depth_and_calls_each_once(monkeypatch):
+    # A curve's construction builds the full-depth rule of each of its
+    # passes; a call then builds one rule per other depth toward phi = 0
+    # its fields take, and makes one integrate call per (pass, depth), each
+    # on the rule of that depth, with fields of both signs in one group.
     calls = []
 
     def counted(f, *args):
@@ -626,13 +627,41 @@ def test_thermodynamic_limit_builds_one_rule_and_calls_it_once(monkeypatch):
         return quadrature.integrate(f, *args)
 
     monkeypatch.setattr(xy_model, "integrate", counted)
-    lams = np.linspace(-1.5, 1.5, 31)
+    lams = np.linspace(-1.5, 1.5, 31)  # |1 - |lam|| from 0 to 1: depths 4, 8 and 40
     for names, gamma, rules in ((("mz",), 0.5, 1), (("tzz", "txx"), 3.0, 1),
                                 (("mz", "g:30"), 0.5, 2)):
         kinds = tuple(ObservableKind.parse(name) for name in names)
+        depths = set(xy_model._depths_a(np.abs(lams), gamma).tolist())
+        assert quadrature.LEVELS in depths and len(depths) == 3, names
         quadrature._rule.cache_clear()
-        ObservableCurve(kinds, gamma)(lams)
+        curve = ObservableCurve(kinds, gamma)
+        built = quadrature._rule.cache_info()
+        assert built.currsize == built.misses == rules, names
+        for args in xy_model._rules(kinds, gamma):
+            quadrature.rule(*args, quadrature.LEVELS)
+        assert quadrature._rule.cache_info().misses == rules, names
+        curve(lams)
         info = quadrature._rule.cache_info()
-        assert info.currsize == info.misses == rules, names
-        assert len(calls) == rules and len(set(calls)) == rules, names
+        assert info.currsize == info.misses == rules * len(depths), names
+        assert len(calls) == len(set(calls)) == rules * len(depths), names
+        assert sorted(args[-1] for args in calls) == sorted([*depths] * rules), names
         calls.clear()
+
+
+PER_FIELD_LAMS = np.array(
+    [side * (1.0 + sign * 10.0**-k) for side in (1, -1) for sign in (1, -1)
+     for k in range(1, 15)] + [1.0, -1.0, 0.0, -0.0, 0.5, 1.5])
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_thermodynamic_limit_fields_of_every_depth_keep_their_own_bits(gamma):
+    # One call whose fields take many depths toward phi = 0 gives each
+    # field the bits of a call on that field alone.
+    kinds = [ObservableKind("mz"), tuple(ObservableKind.parse(k) for k in ("mz", "txx", "tzz")),
+             ObservableKind("g", 30)]
+    assert len(set(xy_model._depths_a(np.abs(PER_FIELD_LAMS), gamma).tolist())) >= 8
+    for kind in kinds:
+        curve = ObservableCurve(kind, gamma)
+        got = curve(PER_FIELD_LAMS)
+        for i, lam in enumerate(PER_FIELD_LAMS):
+            assert got[..., i].tobytes() == curve(lam).tobytes(), (curve.label, lam)
