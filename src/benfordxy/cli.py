@@ -8,12 +8,15 @@ report for a numeric file.
 Every setting is a field of `RunConfig`, which is the one table of
 settings: each field's metadata holds its parser, help and argparse
 extras, and the table yields both the `--flag` (the field name with `_`
-turned into `-`) and the config-file key (the field name).  Configuration
-comes from defaults, then an optional `--config FILE` of flat
-`key = value` lines, then a resolution preset (`--coarse` or `--full`, a
-mutually exclusive pair), then explicit flags; later sources win.  A
-profile run writes a metadata sidecar from its resolved settings, which
-parses back as a config file and reproduces the run byte-identically.
+turned into `-`) and the config-file key (the field name).  The table is
+built once per run, into one settings parser that is every command's
+parent parser, so each flag is one argparse action shared by the five
+commands.  Configuration comes from defaults, then an optional
+`--config FILE` of flat `key = value` lines, then a resolution preset
+(`--coarse` or `--full`, a mutually exclusive pair), then explicit flags;
+later sources win.  A profile run writes a metadata sidecar from its
+resolved settings, which parses back as a config file and reproduces the
+run byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure or out of memory,
 3 I/O failure.
@@ -188,11 +191,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_settings(sp):
-    """--config, the preset group and one flag per RunConfig field; a flag
-    that is not given leaves no attribute, so config values stand."""
-    sp.add_argument("--config", help="flat key = value config file")
-    presets = sp.add_mutually_exclusive_group()
+def build_parser() -> argparse.ArgumentParser:
+    """The command parser.  One settings parser (--config, the preset group
+    and one flag per RunConfig field) is every command's parent; a flag that
+    is not given leaves no attribute, so config values stand."""
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", help="flat key = value config file")
+    presets = settings.add_mutually_exclusive_group()
     for name, values in PRESETS.items():
         desc = ", ".join(f"{key} {'converged per k' if v is None else v}"
                          for key, v in values.items())
@@ -202,17 +207,14 @@ def _add_settings(sp):
         extras = {key: val for key, val in meta.items() if key != "parse"}
         if extras.get("action") != "store_true":
             extras["type"] = meta["parse"]
-        sp.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS, **extras)
-
-
-def build_parser() -> argparse.ArgumentParser:
+        settings.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
+                              **extras)
     parser = _Parser(prog="benfordxy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, helptext, positionals) in COMMANDS.items():
-        sp = sub.add_parser(name, help=helptext)
+        sp = sub.add_parser(name, help=helptext, parents=[settings])
         for pos, pos_help in positionals:
             sp.add_argument(pos, help=pos_help)
-        _add_settings(sp)
     return parser
 
 

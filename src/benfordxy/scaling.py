@@ -99,16 +99,17 @@ def pseudo_critical(fit: CubicFit) -> float:
 
 
 DEFAULT_FIT_WINDOW = (0.8, 1.2)
+DERIVATIVE_GRID = 2001  # grid points of the derivative baseline's window
 FEATURE_MARGIN = 0.25
 
 
-def feature_window(points, margin: float = FEATURE_MARGIN) -> tuple[float, float]:
+def feature_window(points) -> tuple[float, float]:
     """Fit window bracketing a profile's dip-to-peak feature.
 
     The violation profiles swing through a minimum below the transition
     and a maximum above it; the cubic should be fitted in the vicinity of
     that feature, which moves toward lambda = 1 as N grows.  The window is
-    the span between the profile's global extrema widened by `margin`
+    the span between the profile's global extrema widened by FEATURE_MARGIN
     times the extremum separation on each side.  A fixed window such as
     DEFAULT_FIT_WINDOW clips the dip of small systems (N <= 20 dips below
     lambda = 0.8) and biases the inflection, so pipelines default to this
@@ -117,14 +118,12 @@ def feature_window(points, margin: float = FEATURE_MARGIN) -> tuple[float, float
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("points must be at least two (x, y) pairs")
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
     x, y = pts[:, 0], pts[:, 1]
     lo, hi = sorted([float(x[np.argmin(y)]), float(x[np.argmax(y)])])
     sep = hi - lo
     if sep == 0.0:
         raise FitError("profile extrema coincide: no feature to bracket")
-    return (lo - margin * sep, hi + margin * sep)
+    return (lo - FEATURE_MARGIN * sep, hi + FEATURE_MARGIN * sep)
 
 
 def profile_pseudo_critical(points, fit_window=None):
@@ -246,21 +245,19 @@ def scaling_fit(points, mode: str = "fixed", lambda_c: float = 1.0) -> ScalingRe
     return ScalingResult(tuple(pts), lc, alpha, q, "free", residual, q_stderr)
 
 
-def derivative_pseudo_critical(observable, fit_window=DEFAULT_FIT_WINDOW,
-                               n_grid: int = 2001):
+def derivative_pseudo_critical(observable, fit_window=DEFAULT_FIT_WINDOW):
     """Field of the peak of d(observable)/dlambda inside fit_window.
 
-    The curve is sampled on a uniform grid, differentiated with centered
-    finite differences, and the grid peak is refined by fitting a parabola
-    through the three surrounding derivative values.  A peak on the window
-    boundary is an error (the feature is not bracketed).
+    The curve is sampled on a uniform grid of DERIVATIVE_GRID points,
+    differentiated with centered finite differences, and the grid peak is
+    refined by fitting a parabola through the three surrounding derivative
+    values.  A peak on the window boundary is an error (the feature is not
+    bracketed).
     """
     lo, hi = float(fit_window[0]), float(fit_window[1])
     if not hi > lo:
         raise ValueError(f"empty fit window [{lo}, {hi}]")
-    if n_grid < 16:
-        raise ValueError("n_grid too small for a stable derivative")
-    lams = np.linspace(lo, hi, n_grid)
+    lams = np.linspace(lo, hi, DERIVATIVE_GRID)
     vals = np.asarray(observable(lams), dtype=float)
     h = lams[1] - lams[0]
     deriv = (vals[2:] - vals[:-2]) / (2.0 * h)  # derivative at lams[1:-1]

@@ -289,24 +289,20 @@ def convergence_check(
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    cache: dict[int, ViolationProfile] = {}
-
-    def profile_at(n: int) -> ViolationProfile:
-        if n not in cache:
-            sp = dataclasses.replace(spec, n=n)
-            cache[n] = profile(observable, sp, k, distance, jobs=jobs)
-        return cache[n]
-
     history = []
-    n = n0
-    while 2 * n <= max_n:
-        d1 = profile_at(n).deltas
-        d2 = profile_at(2 * n).deltas
+    n, coarse = n0, None
+    while 2 * n <= max_n:  # each pass's 2n profile is the next pass's n
+        if coarse is None:
+            coarse = profile(observable, dataclasses.replace(spec, n=n), k, distance,
+                             jobs=jobs)
+        fine = profile(observable, dataclasses.replace(spec, n=2 * n), k, distance,
+                       jobs=jobs)
+        d1, d2 = coarse.deltas, fine.deltas
         dev = float(np.max(np.abs(d2 - d1) / np.maximum(d1, 1e-6)))
         history.append((n, dev))
         if dev < tolerance:
-            return ConvergenceResult(n, dev, tuple(history), profile_at(n))
-        n *= 2
+            return ConvergenceResult(n, dev, tuple(history), coarse)
+        n, coarse = 2 * n, fine
     raise ConvergenceError(
         f"no n <= {max_n // 2} met tolerance {tolerance}; "
         f"deviations {[(m, f'{d:.3g}') for m, d in history]}"

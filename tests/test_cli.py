@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -74,6 +76,12 @@ def run(argv, capsys):
         ["observables", "--n-sites", "40", "--n", "1000001"],
         # an offset past the float range is an offset beyond N/2 all the same
         ["observables", "--n-sites", "40", "--observable", "g:" + "9" * 400],
+        # no command, an unknown command, a missing path, stray words and flags
+        [],
+        ["frobnicate"],
+        ["benford"],
+        ["profile", "stray"],
+        ["profile", "--nope"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
@@ -91,6 +99,25 @@ def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
     assert code == 1
     assert err.startswith("error[usage]:") or "error[usage]:" in err
     assert len(err.splitlines()) == 1
+
+
+def test_every_command_lists_each_setting_once_from_one_shared_action(capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    flags = ["--config", "--coarse", "--full"]
+    flags += ["--" + name.replace("_", "-") for name in cli.SETTINGS]
+    for name, (_, _, positionals) in cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        # the first word of each entry, indented by two spaces, of the help
+        entries = re.findall(r"^  (\S+)", capsys.readouterr().out, re.M)
+        assert sorted(entries) == sorted(["-h,"] + flags + [pos for pos, _ in positionals])
+    # the settings table is built once: each command holds the same actions
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for flag in flags:
+        assert len({id(sp._option_string_actions[flag]) for sp in sub.choices.values()}) == 1
 
 
 def test_table1_single_size_is_a_usage_error(capsys):
@@ -273,6 +300,12 @@ def test_benford_report_distance_marker_follows_flag(tmp_path, capsys):
     assert code == 0
     starred = [l for l in out.splitlines() if l.endswith(" *")]
     assert len(starred) == 1 and starred[0].startswith("delta_bd")
+    # the path may also follow the flags
+    code, out, _ = run(["benford", "--k", "2", "--distance", "sd", str(data)], capsys)
+    assert code == 0
+    assert "k: 2" in out
+    starred = [l for l in out.splitlines() if l.endswith(" *")]
+    assert len(starred) == 1 and starred[0].startswith("delta_sd")
 
 
 def test_benford_tolerates_trailing_commas_and_blanks(tmp_path, capsys):

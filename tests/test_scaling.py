@@ -114,8 +114,6 @@ def test_feature_window_brackets_extrema():
         sc.feature_window([(0.5, 1.0), (0.6, 1.0)])  # coincident extrema
     with pytest.raises(ValueError):
         sc.feature_window([(0.5, 1.0)])
-    with pytest.raises(ValueError):
-        sc.feature_window(np.column_stack([xs, ys]), margin=-0.1)
 
 
 def test_profile_pseudo_critical_composes():
@@ -279,8 +277,6 @@ def test_derivative_pseudo_critical_boundary_is_an_error():
         sc.derivative_pseudo_critical(lambda lams: np.asarray(lams) ** 2, (0.8, 1.2))
     with pytest.raises(ValueError):
         sc.derivative_pseudo_critical(np.sin, (1.2, 0.8))
-    with pytest.raises(ValueError):
-        sc.derivative_pseudo_critical(np.sin, (0.8, 1.2), n_grid=8)
 
 
 def test_derivative_pseudo_critical_chain_n40():
