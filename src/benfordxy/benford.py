@@ -9,13 +9,13 @@ nearly uniform there.
 
 Frequency tables hold one real-valued count per key (9 * 10^(k-1) bins
 from key 10^(k-1), a layout only this module builds) plus the effective
-sample count.  Extraction is a table lookup: the decade e of |x| is that
-of the last tabled power of ten at or below it, one lower where |x| is a
-tabled double stored below its power, so e follows the stored double
-(1e23 keys as 9).  Then |x| * 10^(k-1-e) is rounded once (a multiply, or
-for e >= k a divide by 10^(e-k+1)) before the floor, which can lift a
-double just below a k-digit decimal onto it (0.7 keys as 7, and 0.123 as
-1230 at depth 4).
+sample count.  Extraction is a table lookup: the decade e of |x| is the
+last decade whose start, the least double not below 10^e, is at or below
+|x|, so e follows the stored double (1e23, stored below its power, keys
+as 9).  Then |x| * 10^(k-1-e) is rounded once (a multiply, or for e >= k
+a divide by 10^(e-k+1)) before the floor, which can lift a double just
+below a k-digit decimal onto it (0.7 keys as 7, and 0.123 as 1230 at
+depth 4).
 
 `digit_keys` takes a fast path, trusting floor(log10) for the decade, and
 sends the values it cannot settle to that lookup (`_exact_keys`).
@@ -36,32 +36,30 @@ MAX_DEPTH = 4
 # Correctly rounded doubles for 10**p, built through exact integer
 # arithmetic (converting an int to float, and dividing two ints, rounds
 # exactly once).  numpy's pow ufunc can be an ulp off even at integer
-# exponents, which is enough to misplace a decade boundary.  The companion
-# mask records which entries sit strictly below the true power of ten,
-# which decides the stored digits of a value equal to that boundary double.
+# exponents, which is enough to misplace a decade boundary.  Beside them,
+# the start of each decade: the least double not below 10**p, the next
+# double up where the power's double sits strictly below the power.
 _POW_RANGE = 340
 
 
 def _pow10_tables() -> tuple[np.ndarray, np.ndarray]:
-    vals = np.empty(2 * _POW_RANGE + 1)
-    below = np.zeros(2 * _POW_RANGE + 1, dtype=bool)
-    for i, p in enumerate(range(-_POW_RANGE, _POW_RANGE + 1)):
-        if p > 308:
-            vals[i] = math.inf
-            continue
+    vals = np.full(2 * _POW_RANGE + 1, math.inf)  # inf past the largest double
+    starts = vals.copy()
+    for i, p in enumerate(range(-_POW_RANGE, 309)):
         v = float(10**p) if p >= 0 else 1 / 10**-p
         num, den = v.as_integer_ratio()  # v = num / den exactly
+        below = num < 10**p * den if p >= 0 else num * 10**-p < den
         vals[i] = v
-        below[i] = num < 10**p * den if p >= 0 else num * 10**-p < den
-    return vals, below
+        starts[i] = math.nextafter(v, math.inf) if below else v
+    return vals, starts
 
 
-_POW10, _POW10_BELOW = _pow10_tables()
+_POW10, _DECADE_START = _pow10_tables()
 
 # Per depth k, the products the fast path of `digit_keys` keys by floor:
 # those strictly between the double above 10**(k-1) and the one below
 # 10**k.  A value whose decade floor(log10) misjudges by one (or a
-# boundary double below its power of ten, like 1e-197) scales to within
+# boundary double below its power, like 1e-197) scales to within
 # an ulp of one of those powers or beyond, at every decade down to the
 # lifted 1e-290, so it never passes (checked decade by decade in
 # tests/test_benford.py).
@@ -132,10 +130,8 @@ def _magnitudes(values) -> np.ndarray:
 def _exact_keys(ax: np.ndarray, k: int) -> np.ndarray:
     """Keys of magnitudes from `_magnitudes` by the module's table lookup
     (a divide for a negative power: 10**-q is never a double)."""
-    i = np.floor(np.log10(ax)).astype(np.intp) + _POW_RANGE  # at most one off
-    i -= ax < _POW10[i]
-    i += ax >= _POW10[i + 1]
-    i -= (ax == _POW10[i]) & _POW10_BELOW[i]  # 1e23 stores as 9.99...e22
+    # the decade is the last one whose start is at or below |x|
+    i = np.searchsorted(_DECADE_START, ax, side="right") - 1
     p = (k - 1 + _POW_RANGE) - i  # the power, with the decade at i - _POW_RANGE
     scaled = ax * _POW10[p + _POW_RANGE]
     np.divide(ax, _POW10[_POW_RANGE - p], out=scaled, where=p < 0)

@@ -223,9 +223,10 @@ def resolve_config(args) -> RunConfig:
     values.update(PRESETS.get(args.preset, {}))
     flags = {name: getattr(args, name) for name in SETTINGS if hasattr(args, name)}
     values.update(flags)
+    for name in ("auto_n", "emit_plot"):  # the settings only profile reads
+        if values.get(name) and args.command != "profile":
+            raise UsageError(f"--{name.replace('_', '-')} applies to profile only")
     if values.get("auto_n"):
-        if args.command != "profile":
-            raise UsageError("--auto-n applies to profile only; give --n or a preset")
         if "n" in flags:
             raise UsageError("--n and --auto-n are mutually exclusive")
         values["n"] = None

@@ -417,10 +417,11 @@ class ObservableCurve:
     one row per kind, shape (len(kind),) + lams.shape, with the bits of its
     single curve, all from one momentum pass (at N = inf, one per rule).
     `kinds` is a tuple for every curve: its kinds, one for a single curve.
-    An N = inf curve builds the (cached) rules its calls run on when it is
-    constructed: one that needs more than `quadrature.MAX_NODES` nodes
-    (|gamma| below about 3.9e-4, or |r| above about 5.2e3) raises
-    `quadrature.QuadratureError` there, before any array is built.
+    An N = inf curve builds each pass's full-depth rule (cached) when it is
+    constructed, to judge the node budget: one over `quadrature.MAX_NODES`
+    nodes (|gamma| below about 3.9e-4, or |r| above about 5.2e3) raises
+    `quadrature.QuadratureError` there, before any array is built.  Calls
+    build each field depth's rule, never a larger one, on first use.
     """
 
     kind: ObservableKind | tuple[ObservableKind, ...]

@@ -1,12 +1,12 @@
 """The benchmark's traced runs against the current program.
 
 `perfbench/tracer.py` wraps names of the program by hand (for instance
-`xy_model.integrate`, `quadrature.QuadratureError` and
-`windows.ProcessPoolExecutor`), and the benchmark's own tests are not part
-of this suite.  So a rename here could pass every test below `tests/` and
-still break `perfbench/run.py`.  Each test runs one small command under
-`perfbench/child.py`'s trace or pool mode, as the benchmark does, and
-checks the spans or counters it leaves.
+`xy_model.integrate`, `quadrature.QuadratureError`, `benford.digit_keys`
+and `windows.ProcessPoolExecutor`), and the benchmark's own tests are not
+part of this suite.  So a rename here could pass every test below
+`tests/` and still break `perfbench/run.py`.  Each test runs one small
+command under `perfbench/child.py`'s trace or pool mode, as the benchmark
+does, and checks the spans or counters it leaves.
 """
 
 import importlib.util
@@ -32,12 +32,13 @@ COMMANDS = {
     "profile-inf": (
         ["profile", "--n-sites", "inf", "--a", "0.96", "--b", "1.04", "--w", "0.02",
          "--epsilon", "0.01", "--n", "100", "--jobs", "1"],
-        ("xy_model", "quadrature", "benford.distance", "windows"),
+        ("xy_model", "quadrature", "benford.digit_keys", "benford.distance", "windows"),
     ),
     "table1": (
         ["table1", "--n-sites", "14,16,18", "--a", "0.5", "--b", "1.5", "--w", "0.05",
          "--epsilon", "0.02", "--n", "1000", "--jobs", "1"],
-        ("xy_model", "benford.distance", "scaling.cubic_fit", "scaling.scaling_fit"),
+        ("xy_model", "benford.digit_keys", "benford.distance", "scaling.cubic_fit",
+         "scaling.scaling_fit"),
     ),
 }
 
@@ -66,6 +67,7 @@ def test_traced_run_closes_its_spans_and_reaches_every_layer(name, tmp_path):
         calls, seconds = spans.get(layer, (0, 0.0))
         assert calls > 0 and seconds > 0.0, layer
     metrics = tracer.layer_metrics(dump)
+    assert metrics["benford.keys"] > 0
     if "quadrature" in layers:
         assert metrics["quadrature.calls"] > 0
         assert metrics["quadrature.integrand_evals"] == metrics["quadrature.calls"]

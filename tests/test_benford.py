@@ -80,17 +80,19 @@ def _decimal_neighbours(k: int) -> np.ndarray:
 
 
 def test_pow10_tables_match_exact_powers():
-    # Each entry is 10**p correctly rounded (inf past the largest double),
-    # and the mask marks the entries strictly below the exact power.
+    # Each entry is 10**p correctly rounded, and each decade start the
+    # least double not below 10**p (both inf past the largest double).
     origin = benford._POW_RANGE
     assert origin == 340
     for p in range(-origin, origin + 1):
         exact = Fraction(10) ** p
         value = float(exact) if p <= 308 else math.inf
-        got = benford._POW10[p + origin]
-        assert got == value, p
-        below = value < math.inf and Fraction(value) < exact
-        assert benford._POW10_BELOW[p + origin] == below, p
+        assert benford._POW10[p + origin] == value, p
+        start = benford._DECADE_START[p + origin]
+        if p > 308:
+            assert start == math.inf, p
+        else:
+            assert Fraction(start) >= exact > Fraction(np.nextafter(start, 0.0)), p
 
 
 def test_fast_keys_equal_exact_keys():
@@ -176,18 +178,17 @@ def test_fast_bounds_catch_every_decade_slip():
     # nearest doubles on the far side of every boundary scale to outside
     # the fast bounds, every misjudged value goes to the exact path.
     # Lifted values are at least 1e-290, so decades from -291 up matter.
-    pow10, below, origin = benford._POW10, benford._POW10_BELOW, benford._POW_RANGE
+    pow10, origin = benford._POW10, benford._POW_RANGE
     for k in (1, 2, 3, 4):
         low, high = benford._FAST_BOUNDS[k]
         for a in range(-291, k + 1):  # decades whose misjudged power is >= 0
-            boundary = pow10[a + origin]
             # stored in decade a, read as a - 1 (a boundary double below
             # 10**a belongs to decade a - 1 and keys there either way)
-            first = np.nextafter(boundary, np.inf) if below[a + origin] else boundary
+            first = benford._DECADE_START[a + origin]
             assert first * pow10[k - a + origin] >= high, (k, a)
             if a <= k - 1:
                 # stored in decade a - 1, read as a
-                last = boundary if below[a + origin] else np.nextafter(boundary, 0.0)
+                last = np.nextafter(first, 0.0)
                 assert last * pow10[k - 1 - a + origin] <= low, (k, a)
 
 

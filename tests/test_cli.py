@@ -69,9 +69,12 @@ def run(argv, capsys):
         ["profile", "--n-sites", "inf", "--n", "1000001"],
         ["table1", "--n", "1000000000", "--n-sites", "14,16,18"],
         ["profile", "--auto-n", "--epsilon", "1e-5"],
-        # --auto-n applies to profile only (NUMBERS: a readable numeric file)
+        # --auto-n and --emit-plot apply to profile only (NUMBERS: a
+        # readable numeric file)
         ["observables", "--n-sites", "14", "--auto-n"],
         ["benford", "NUMBERS", "--auto-n"],
+        ["observables", "--n-sites", "14", "--emit-plot"],
+        ["benford", "NUMBERS", "--emit-plot"],
         # an observables grid past the per-window samples cap
         ["observables", "--n-sites", "40", "--n", "1000001"],
         # an offset past the float range is an offset beyond N/2 all the same
