@@ -45,12 +45,21 @@ _POW_RANGE = 340
 def _pow10_tables() -> tuple[np.ndarray, np.ndarray]:
     vals = np.full(2 * _POW_RANGE + 1, math.inf)  # inf past the largest double
     starts = vals.copy()
-    for i, p in enumerate(range(-_POW_RANGE, 309)):
-        v = float(10**p) if p >= 0 else 1 / 10**-p
-        num, den = v.as_integer_ratio()  # v = num / den exactly
-        below = num < 10**p * den if p >= 0 else num * 10**-p < den
-        vals[i] = v
-        starts[i] = math.nextafter(v, math.inf) if below else v
+
+    def put(p: int, v: float, below: bool):
+        vals[_POW_RANGE + p] = v
+        starts[_POW_RANGE + p] = math.nextafter(v, math.inf) if below else v
+
+    power = 1  # 10**q, one x10 per step
+    for q in range(_POW_RANGE + 1):
+        if q <= 308:
+            v = float(power)  # a whole number, so int(v) is exact
+            put(q, v, int(v) < power)
+        if q:
+            v = 1 / power
+            num, den = v.as_integer_ratio()  # v = num / den exactly
+            put(-q, v, num * power < den)
+        power *= 10
     return vals, starts
 
 

@@ -12,10 +12,13 @@ made it are the caller's to record (the CLI writes them as `profile.meta`).
 Windows are independent work units; `jobs > 1` farms fixed-size blocks of
 window indices to a process pool of min(jobs, blocks, cores) workers and
 assembles results by index, so the output is bit-identical for any worker
-count.  `profile_set` evaluates several (k, distance) combinations from
-one sampling and one digit-key pass per window, which is how the scaling
-pipeline keeps its runtime sane; a joint observable (several observables
-evaluated as rows of one call) shares that sampling across them too.
+count.  The pool's module (with multiprocessing, socket and subprocess)
+loads only in a run that starts a pool: `ProcessPoolExecutor` is imported
+on its first read, so a serial run never pays for it.  `profile_set`
+evaluates several (k, distance) combinations from one sampling and one
+digit-key pass per window, which is how the scaling pipeline keeps its
+runtime sane; a joint observable (several observables evaluated as rows
+of one call) shares that sampling across them too.
 
 A block calls the observable on as few field arrays as it can: each
 window is sampled by its own `np.linspace`, and consecutive windows are
@@ -31,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,18 @@ MAX_WINDOW_SAMPLES = 1_000_000
 MAX_SWEEP_SAMPLES = 4_000_000_000
 #: largest n of `convergence_check`'s doubling
 DOUBLING_MAX_N = 160_000
+
+
+def __getattr__(name):
+    # `windows.ProcessPoolExecutor` is concurrent.futures' class, imported on
+    # the first read and then kept as a module global, which a caller may
+    # rebind (the benchmark's pool counter and the tests do)
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DegenerateWindowError(ValueError):
@@ -237,7 +252,9 @@ def profile_set(observable, spec: WindowSpec, ks, distances, jobs: int = 1):
     blocks = [(s, min(s + _BLOCK, count)) for s in range(0, count, _BLOCK)]
     workers = min(jobs, len(blocks), default_jobs())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read through the module, so that a rebinding of the name is used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             futures = [
                 pool.submit(_eval_block, observable, spec, s, t, part_combos)
                 for s, t in blocks

@@ -2,11 +2,12 @@
 
 `perfbench/tracer.py` wraps names of the program by hand (for instance
 `xy_model.integrate`, `quadrature.QuadratureError`, `benford.digit_keys`
-and `windows.ProcessPoolExecutor`), and the benchmark's own tests are not
-part of this suite.  So a rename here could pass every test below
-`tests/` and still break `perfbench/run.py`.  Each test runs one small
-command under `perfbench/child.py`'s trace or pool mode, as the benchmark
-does, and checks the spans or counters it leaves.
+and `windows.ProcessPoolExecutor`, which `windows` resolves on its first
+read, so the pool counter's read is what imports the pool), and the
+benchmark's own tests are not part of this suite.  So a rename here could
+pass every test below `tests/` and still break `perfbench/run.py`.  Each
+test runs one small command under `perfbench/child.py`'s trace or pool
+mode, as the benchmark does, and checks the spans or counters it leaves.
 """
 
 import importlib.util

@@ -186,6 +186,23 @@ def test_cli_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_serial_run_loads_no_process_pool(tmp_path):
+    # the pool's module brings in multiprocessing, socket and subprocess,
+    # about 10 ms of each start; a command that starts no pool never loads it
+    src = os.path.dirname(os.path.dirname(benfordxy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["profile", "--n-sites", "14", "--a", "0.9", "--b", "1.1", "--w", "0.05",
+            "--epsilon", "0.01", "--n", "200", "--jobs", "1", "--out", str(tmp_path)]
+    code = ("import sys, benfordxy.cli\n"
+            f"rc = benfordxy.cli.main({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules\n"
+            "                 if m in ('concurrent.futures.process', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"  # below the command's own lines
+    assert (tmp_path / "profile.csv").is_file()
+
+
 def test_free_mode_runs_without_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(benfordxy.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 """Unit tests for sliding-window geometry, normalization, and profiles."""
 
+import concurrent.futures
 import dataclasses
 import math
 from concurrent.futures import Future
@@ -362,6 +363,16 @@ def test_profile_set_clamps_workers(monkeypatch, jobs, cores, workers):
     deltas = serial[(1, "md")].deltas
     assert np.unique(deltas).size > 1
     assert deltas.tobytes() == _violations(_cubic_curve, spec, 1, "md").tobytes()
+
+
+def test_pool_class_is_imported_on_first_read():
+    # windows defers the pool's import to the first read of the name (a
+    # module __getattr__); the read is concurrent.futures' class, and any
+    # other missing name still raises
+    assert W.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    assert "ProcessPoolExecutor" in vars(W)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        W.no_such_name
 
 
 def test_default_jobs_counts_the_affinity_mask(monkeypatch):
