@@ -9,18 +9,14 @@ nearly uniform there.
 
 Frequency tables hold one real-valued count per key (9 * 10^(k-1) bins
 from key 10^(k-1), a layout only this module builds) plus the effective
-sample count.  Extraction is a table lookup: the decade e of |x| is the
-last decade whose start, the least double not below 10^e, is at or below
-|x|, so e follows the stored double (1e23, stored below its power, keys
-as 9).  Then |x| * 10^(k-1-e) is rounded once (a multiply, or for e >= k
-a divide by 10^(e-k+1)) before the floor, which can lift a double just
-below a k-digit decimal onto it (0.7 keys as 7, and 0.123 as 1230 at
-depth 4).
-
-`digit_keys` takes a fast path, trusting floor(log10) for the decade, and
-sends the values it cannot settle to that lookup (`_exact_keys`).
-Invariant: the fast path's keys equal the lookup's on every nonzero
-finite double.
+sample count.  The decade e of |x| is the last decade whose start, the
+least double not below 10^e, is at or below |x|, so e follows the stored
+double (1e23, stored below its power, keys as 9).  `digit_keys` reads it
+from the exponent bits of |x|, which fix e to within one, and one compare
+with the next decade's start.  Then |x| * 10^(k-1-e) is rounded once (a
+multiply, or for e >= k a divide by 10^(e-k+1)) before the truncation,
+which can lift a double just below a k-digit decimal onto it (0.7 keys as
+7, and 0.123 as 1230 at depth 4).  Keying calls no libm function.
 """
 
 from __future__ import annotations
@@ -65,16 +61,6 @@ def _pow10_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _POW10, _DECADE_START = _pow10_tables()
 
-# Per depth k, the products the fast path of `digit_keys` keys by floor:
-# those strictly between the double above 10**(k-1) and the one below
-# 10**k.  A value whose decade floor(log10) misjudges by one (or a
-# boundary double below its power, like 1e-197) scales to within
-# an ulp of one of those powers or beyond, at every decade down to the
-# lifted 1e-290, so it never passes (checked decade by decade in
-# tests/test_benford.py).
-_FAST_BOUNDS = {k: (np.nextafter(10.0 ** (k - 1), math.inf), np.nextafter(10.0**k, 0.0))
-                for k in range(1, MAX_DEPTH + 1)}
-
 
 def _check_depth(k: int):
     if not 1 <= k <= MAX_DEPTH:
@@ -91,39 +77,39 @@ def digit_keys(values, k: int) -> np.ndarray:
     """Vectorized digit extraction: int64 key per nonzero finite value, in
     the shape of values (a numpy integer for a scalar).
 
-    Fast path: the decade e from floor(log10), one correctly rounded
-    multiply by 10**(k-1-e) and a floor.  A value whose product lands
-    within an ulp of the key range's ends, or outside it, or that needs a
-    negative power (|x| >= 10**k) is keyed by `_exact_keys` instead: only
-    there can the decade be one off, or the product round twice.
+    The decade e of |x| comes from its exponent bits and one compare with
+    the next decade's start; then one correctly rounded scaling by
+    10**(k-1-e) (a divide by 10**(e-k+1) when |x| >= 10**k, since 10**-q is
+    never a double) and a truncation.
     """
     _check_depth(k)
     if not np.ndim(values):  # a scalar is keyed as a 1-element array
         return digit_keys(np.reshape(values, 1), k)[0]
     ax = _magnitudes(values)
-    scaled = np.log10(ax)
-    np.floor(scaled, out=scaled)
-    index = scaled.astype(np.intp)
-    np.subtract(_POW_RANGE + k - 1, index, out=index)  # where 10**(k-1-e) is
-    np.take(_POW10, index, out=scaled, mode="clip")  # index is always in range
-    scaled *= ax
-    keys = scaled.astype(np.int64)
-    low, high = _FAST_BOUNDS[k]
-    slow = scaled <= low
-    # but 1.0, the maximum of every min-max normalized window: log10(1) is
-    # exactly 0 (C99 Annex F), so its decade is right and its product is
-    # exactly 10**(k-1)
-    slow &= ax != 1.0
-    slow |= scaled >= high
-    slow |= index < _POW_RANGE
-    if slow.any():
-        keys[slow] = _exact_keys(ax[slow], k)
-    return keys
+    # |x| lies in the binade [2**j, 2**(j+1)) of its biased exponent
+    # j + 1023, and a binade spans 0.301 of a decade, so e is
+    # floor(j log10 2) = (j * 78913) >> 18 (exact for every normal j) or
+    # one more
+    e = ax.view(np.int64) >> 52
+    e -= 1023
+    e *= 78913
+    e >>= 18
+    e += ax >= _DECADE_START[e + (_POW_RANGE + 1)]
+    scaled = ax * _POW10[(_POW_RANGE + k - 1) - e]
+    if e.max(initial=0) >= k:
+        np.divide(ax, _POW10[(_POW_RANGE + 1 - k) + e], out=scaled, where=e >= k)
+    # the cast truncates, the floor of a positive value; the scaled value
+    # can only leave the key range by rounding across it, which pins the
+    # digits: all nines above, a 1 and zeros below
+    lo, hi = key_bounds(k)
+    return np.clip(scaled.astype(np.int64), lo, hi)
 
 
 def _magnitudes(values) -> np.ndarray:
-    """|values| as a new float array, near-denormals lifted by 1e300 so the
-    10**(k-1-e) scale factor stays finite; zeros, infs and NaNs refused."""
+    """|values| as a new float array, near-denormals lifted by 1e300 so that
+    every magnitude is a normal double (its exponent bits give its binade)
+    and the 10**(k-1-e) scale factor stays finite; zeros, infs and NaNs
+    refused."""
     ax = np.abs(np.asarray(values, dtype=float))
     if ax.size:
         # a NaN makes the minimum NaN, which fails the test as 0 does
@@ -134,20 +120,6 @@ def _magnitudes(values) -> np.ndarray:
             tiny = ax < 1e-290
             ax[tiny] *= 1e300
     return ax
-
-
-def _exact_keys(ax: np.ndarray, k: int) -> np.ndarray:
-    """Keys of magnitudes from `_magnitudes` by the module's table lookup
-    (a divide for a negative power: 10**-q is never a double)."""
-    # the decade is the last one whose start is at or below |x|
-    i = np.searchsorted(_DECADE_START, ax, side="right") - 1
-    p = (k - 1 + _POW_RANGE) - i  # the power, with the decade at i - _POW_RANGE
-    scaled = ax * _POW10[p + _POW_RANGE]
-    np.divide(ax, _POW10[_POW_RANGE - p], out=scaled, where=p < 0)
-    # the scaled value can only leave the key range by rounding across it,
-    # which pins the digits: all nines above, a 1 and zeros below
-    lo, hi = key_bounds(k)
-    return np.clip(np.floor(scaled).astype(np.int64), lo, hi)
 
 
 @functools.cache

@@ -95,9 +95,22 @@ def test_pow10_tables_match_exact_powers():
             assert Fraction(start) >= exact > Fraction(np.nextafter(start, 0.0)), p
 
 
-def test_fast_keys_equal_exact_keys():
-    # digit_keys settles most values on its fast path and hands the rest
-    # to the exact path; its keys must be the exact path's on every value
+def _lookup_keys(ax: np.ndarray, k: int) -> np.ndarray:
+    """Keys of magnitudes from `benford._magnitudes` by a search of all the
+    decade starts (the decade is the last one whose start is at or below
+    |x|), then the one correctly rounded scaling of `digit_keys`."""
+    origin = benford._POW_RANGE
+    i = np.searchsorted(benford._DECADE_START, ax, side="right") - 1
+    p = (k - 1 + origin) - i  # the power, with the decade at i - origin
+    scaled = ax * benford._POW10[p + origin]
+    np.divide(ax, benford._POW10[origin - p], out=scaled, where=p < 0)
+    lo, hi = benford.key_bounds(k)
+    return np.clip(np.floor(scaled).astype(np.int64), lo, hi)
+
+
+def test_digit_keys_equal_lookup_keys():
+    # the decade from the exponent bits and one compare must be the one a
+    # search of every decade start finds, on every value
     rng = np.random.default_rng(23)
     bounds = benford._POW10[(benford._POW10 > 0.0) & (benford._POW10 < math.inf)]
     near = [bounds]
@@ -118,7 +131,7 @@ def test_fast_keys_equal_exact_keys():
     for k in (1, 2, 3, 4):
         vals = np.concatenate([common, _decimal_neighbours(k)])
         keys = benford.digit_keys(vals, k)
-        want = benford._exact_keys(benford._magnitudes(vals), k)
+        want = _lookup_keys(benford._magnitudes(vals), k)
         mismatched = np.flatnonzero(keys != want)
         assert mismatched.size == 0, (k, vals[mismatched[:5]])
 
@@ -142,8 +155,9 @@ def reference_key(x: float, k: int) -> int:
 
 
 def test_exact_keys_equal_reference_keys():
-    # the exact path against exact rational arithmetic, on the values where
-    # a decade or a rounding can slip
+    # digit_keys, and the lookup the bulk check compares it with, against
+    # exact rational arithmetic, on the values where a decade or a
+    # rounding can slip
     rng = np.random.default_rng(31)
     bounds = benford._POW10[(benford._POW10 > 1e-290) & (benford._POW10 < math.inf)]
     near = [bounds]
@@ -166,30 +180,27 @@ def test_exact_keys_equal_reference_keys():
             rng.integers(10 ** (k - 1), 10**k, 500), rng.integers(k, 300, 500))])
         ax = benford._magnitudes(np.concatenate([
             common, decimals, large, np.nextafter(large, 0.0), np.nextafter(large, np.inf)]))
-        got = benford._exact_keys(ax, k)
         want = [reference_key(x, k) for x in ax.tolist()]
-        mismatched = np.flatnonzero(got != want)
-        assert mismatched.size == 0, (k, ax[mismatched[:5]])
+        for got in (benford.digit_keys(ax, k), _lookup_keys(ax, k)):
+            mismatched = np.flatnonzero(got != want)
+            assert mismatched.size == 0, (k, ax[mismatched[:5]])
 
 
-def test_fast_bounds_catch_every_decade_slip():
-    # floor(log10) may put a value next to a decade boundary one decade
-    # off.  The fast path's product is monotone in the value, so if the
-    # nearest doubles on the far side of every boundary scale to outside
-    # the fast bounds, every misjudged value goes to the exact path.
-    # Lifted values are at least 1e-290, so decades from -291 up matter.
-    pow10, origin = benford._POW10, benford._POW_RANGE
+def test_decade_guess_is_the_exact_floor():
+    # digit_keys guesses the decade of the binade [2**j, 2**(j+1)) as
+    # (j * 78913) >> 18, which must be floor(j log10 2) for the biased
+    # exponent j + 1023 of every normal double (checked by exact powers);
+    # the first and the last double of each binade then key as the lookup
+    for j in range(1 - 1023, 2047 - 1023):
+        g = (j * 78913) >> 18
+        assert Fraction(10) ** g <= Fraction(2) ** j < Fraction(10) ** (g + 1), j
+    first = (np.arange(1, 2047, dtype=np.int64) << 52).view(float)
+    edges = np.concatenate([first, np.nextafter(first[1:], 0.0), [np.finfo(float).max]])
     for k in (1, 2, 3, 4):
-        low, high = benford._FAST_BOUNDS[k]
-        for a in range(-291, k + 1):  # decades whose misjudged power is >= 0
-            # stored in decade a, read as a - 1 (a boundary double below
-            # 10**a belongs to decade a - 1 and keys there either way)
-            first = benford._DECADE_START[a + origin]
-            assert first * pow10[k - a + origin] >= high, (k, a)
-            if a <= k - 1:
-                # stored in decade a - 1, read as a
-                last = np.nextafter(first, 0.0)
-                assert last * pow10[k - 1 - a + origin] <= low, (k, a)
+        got = benford.digit_keys(edges, k)
+        want = _lookup_keys(benford._magnitudes(edges), k)
+        mismatched = np.flatnonzero(got != want)
+        assert mismatched.size == 0, (k, edges[mismatched[:5]])
 
 
 def test_digit_keys_rejects_bad_values():
