@@ -77,10 +77,12 @@ def digit_keys(values, k: int) -> np.ndarray:
     """Vectorized digit extraction: int64 key per nonzero finite value, in
     the shape of values (a numpy integer for a scalar).
 
-    The decade e of |x| comes from its exponent bits and one compare with
-    the next decade's start; then one correctly rounded scaling by
-    10**(k-1-e) (a divide by 10**(e-k+1) when |x| >= 10**k, since 10**-q is
-    never a double) and a truncation.
+    Every value is keyed at depth 4, and depth k keeps the first k digits
+    of that key, so a key never depends on the depth asked for.  The
+    decade e of |x| comes from its exponent bits and one compare with the
+    next decade's start; then one correctly rounded scaling by 10**(3-e)
+    (a divide by 10**(e-3) when |x| >= 10**4, since 10**-q is never a
+    double) and a truncation.
     """
     _check_depth(k)
     if not np.ndim(values):  # a scalar is keyed as a 1-element array
@@ -95,20 +97,23 @@ def digit_keys(values, k: int) -> np.ndarray:
     e *= 78913
     e >>= 18
     e += ax >= _DECADE_START[e + (_POW_RANGE + 1)]
-    scaled = ax * _POW10[(_POW_RANGE + k - 1) - e]
-    if e.max(initial=0) >= k:
-        np.divide(ax, _POW10[(_POW_RANGE + 1 - k) + e], out=scaled, where=e >= k)
+    scaled = ax * _POW10[(_POW_RANGE + MAX_DEPTH - 1) - e]
+    if e.max(initial=0) >= MAX_DEPTH:
+        np.divide(ax, _POW10[(_POW_RANGE + 1 - MAX_DEPTH) + e], out=scaled,
+                  where=e >= MAX_DEPTH)
     # the cast truncates, the floor of a positive value; the scaled value
     # can only leave the key range by rounding across it, which pins the
     # digits: all nines above, a 1 and zeros below
-    lo, hi = key_bounds(k)
-    return np.clip(scaled.astype(np.int64), lo, hi)
+    keys = np.clip(scaled.astype(np.int64), *key_bounds(MAX_DEPTH))
+    if k < MAX_DEPTH:
+        keys //= 10 ** (MAX_DEPTH - k)
+    return keys
 
 
 def _magnitudes(values) -> np.ndarray:
     """|values| as a new float array, near-denormals lifted by 1e300 so that
     every magnitude is a normal double (its exponent bits give its binade)
-    and the 10**(k-1-e) scale factor stays finite; zeros, infs and NaNs
+    and the 10**(3-e) scale factor stays finite; zeros, infs and NaNs
     refused."""
     ax = np.abs(np.asarray(values, dtype=float))
     if ax.size:

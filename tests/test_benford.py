@@ -98,14 +98,15 @@ def test_pow10_tables_match_exact_powers():
 def _lookup_keys(ax: np.ndarray, k: int) -> np.ndarray:
     """Keys of magnitudes from `benford._magnitudes` by a search of all the
     decade starts (the decade is the last one whose start is at or below
-    |x|), then the one correctly rounded scaling of `digit_keys`."""
-    origin = benford._POW_RANGE
+    |x|), then the one correctly rounded scaling of `digit_keys` at depth
+    4, whose first k digits are the key."""
+    origin, depth = benford._POW_RANGE, benford.MAX_DEPTH
     i = np.searchsorted(benford._DECADE_START, ax, side="right") - 1
-    p = (k - 1 + origin) - i  # the power, with the decade at i - origin
+    p = (depth - 1 + origin) - i  # the power, with the decade at i - origin
     scaled = ax * benford._POW10[p + origin]
     np.divide(ax, benford._POW10[origin - p], out=scaled, where=p < 0)
-    lo, hi = benford.key_bounds(k)
-    return np.clip(np.floor(scaled).astype(np.int64), lo, hi)
+    keys = np.clip(np.floor(scaled).astype(np.int64), *benford.key_bounds(depth))
+    return keys // 10 ** (depth - k)
 
 
 def test_digit_keys_equal_lookup_keys():
@@ -139,19 +140,20 @@ def test_digit_keys_equal_lookup_keys():
 def reference_key(x: float, k: int) -> int:
     """The key of a magnitude by exact rational arithmetic: the decade from
     a search of the power table, one down at a boundary double below its
-    power of ten, and the power applied as one correctly rounded multiply
-    or divide (as IEEE arithmetic and float(Fraction) both round)."""
-    pow10, origin = benford._POW10, benford._POW_RANGE
+    power of ten, and the power of depth 4 applied as one correctly rounded
+    multiply or divide (as IEEE arithmetic and float(Fraction) both round);
+    depth k keeps the first k digits of that key."""
+    pow10, origin, depth = benford._POW10, benford._POW_RANGE, benford.MAX_DEPTH
     e = bisect.bisect_right(pow10.tolist(), x) - 1 - origin
     if x == pow10[e + origin] and Fraction(x) < Fraction(10) ** e:
         e -= 1
-    p = k - 1 - e
+    p = depth - 1 - e
     if p >= 0:
         scaled = float(Fraction(x) * Fraction(pow10[p + origin]))
     else:
         scaled = float(Fraction(x) / Fraction(pow10[origin - p]))
-    lo, hi = benford.key_bounds(k)
-    return min(max(math.floor(scaled), lo), hi)
+    lo, hi = benford.key_bounds(depth)
+    return min(max(math.floor(scaled), lo), hi) // 10 ** (depth - k)
 
 
 def test_exact_keys_equal_reference_keys():
@@ -416,6 +418,29 @@ def test_key_histograms_fold_depths():
         benford.key_histograms(x, [0, 2])
     with pytest.raises(ValueError):
         benford.key_histograms(x, [5])
+
+
+def test_keys_do_not_depend_on_the_depths_asked_for():
+    # every 2- and 3-digit decimal in [0.1, 1) with its 1- and 2-ulp lower
+    # neighbours: the scaling rounds such a double onto the decimal at some
+    # depths and not at others, so a depth-k key that did not come from the
+    # depth-4 key could differ from its fold
+    dec = np.concatenate([np.arange(10, 100) / 100.0, np.arange(100, 1000) / 1000.0])
+    below = np.nextafter(dec, 0.0)
+    x = np.concatenate([dec, below, np.nextafter(below, 0.0)])
+    assert x.size == 2970
+    keys = {k: benford.digit_keys(x, k) for k in (1, 2, 3, 4)}
+    for k in (1, 2, 3):
+        for deeper in range(k + 1, 5):
+            folded = keys[deeper] // 10 ** (deeper - k)
+            assert np.array_equal(keys[k], folded), (k, deeper, x[keys[k] != folded][:5])
+        alone = benford.key_histograms(x, [k])[k]
+        assert np.array_equal(alone, benford.key_histograms(x, [k, 4])[k]), k
+    # so a window's distance at one depth is the same whatever other depth
+    # is asked for beside it
+    window = [np.nextafter(0.17, 0.0), 0.5, 0.31, 1.0, 0.9]
+    alone = benford.combo_distances(window, [(2, "md")])
+    assert benford.combo_distances(window, [(2, "md"), (4, "md")])[:1] == alone
 
 
 def test_distance_oracles():
