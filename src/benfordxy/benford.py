@@ -9,14 +9,16 @@ nearly uniform there.
 
 Frequency tables hold one real-valued count per key (9 * 10^(k-1) bins
 from key 10^(k-1), a layout only this module builds) plus the effective
-sample count.  The decade e of |x| is the last decade whose start, the
-least double not below 10^e, is at or below |x|, so e follows the stored
-double (1e23, stored below its power, keys as 9).  `digit_keys` reads it
-from the exponent bits of |x|, which fix e to within one, and one compare
-with the next decade's start.  Then |x| * 10^(k-1-e) is rounded once (a
-multiply, or for e >= k a divide by 10^(e-k+1)) before the truncation,
-which can lift a double just below a k-digit decimal onto it (0.7 keys as
-7, and 0.123 as 1230 at depth 4).  Keying calls no libm function.
+sample count.  Every value is keyed at depth 4, and depth k keeps the
+first k digits of that key.  The decade e of |x| is the last decade whose
+start, the least double not below 10^e, is at or below |x|, so e follows
+the stored double (1e23, stored below its power, keys as 9).
+`digit_keys` reads it from the exponent bits of |x|, which fix e to
+within one, and one compare with the next decade's start.  Then
+|x| * 10^(3-e) is rounded once (a multiply, or for e >= 4 a divide by
+10^(e-3)) before the truncation, which can lift a double just below a
+4-digit decimal onto it (0.7 keys as 7000, and 0.123 as 1230).  Keying
+calls no libm function.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def digit_keys(values, k: int) -> np.ndarray:
     e >>= 18
     e += ax >= _DECADE_START[e + (_POW_RANGE + 1)]
     scaled = ax * _POW10[(_POW_RANGE + MAX_DEPTH - 1) - e]
-    if e.max(initial=0) >= MAX_DEPTH:
+    if e.max(initial=0) >= MAX_DEPTH:  # the divide pass only where needed
         np.divide(ax, _POW10[(_POW_RANGE + 1 - MAX_DEPTH) + e], out=scaled,
                   where=e >= MAX_DEPTH)
     # the cast truncates, the floor of a positive value; the scaled value
