@@ -8,15 +8,15 @@ report for a numeric file.
 Every setting is a field of `RunConfig`, which is the one table of
 settings: each field's metadata holds its parser, help and argparse
 extras, and the table yields both the `--flag` (the field name with `_`
-turned into `-`) and the config-file key (the field name).  The table is
-built once per run, into one settings parser that is every command's
-parent parser, so each flag is one argparse action shared by the five
-commands.  Configuration comes from defaults, then an optional
+turned into `-`) and the config-file key (the field name).  Each command
+takes only the settings it reads, the read list of its `COMMANDS` entry:
+its parser has those flags, and any other known config key is a usage
+error.  Configuration comes from defaults, then an optional
 `--config FILE` of flat `key = value` lines, then a resolution preset
-(`--coarse` or `--full`, a mutually exclusive pair), then explicit flags;
-later sources win.  A profile run writes a metadata sidecar from its
-resolved settings, which parses back as a config file and reproduces the
-run byte-identically.
+(`--coarse` or `--full`, a mutually exclusive pair, for the commands that
+read n), then explicit flags; later sources win.  A profile run writes a
+metadata sidecar from its resolved settings, which parses back as a config
+file and reproduces the run byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure or out of memory,
 3 I/O failure.
@@ -192,44 +192,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command parser.  One settings parser (--config, the preset group
-    and one flag per RunConfig field) is every command's parent; a flag that
-    is not given leaves no attribute, so config values stand."""
-    settings = argparse.ArgumentParser(add_help=False)
-    settings.add_argument("--config", help="flat key = value config file")
-    presets = settings.add_mutually_exclusive_group()
-    for name, values in PRESETS.items():
-        desc = ", ".join(f"{key} {'converged per k' if v is None else v}"
-                         for key, v in values.items())
-        presets.add_argument(f"--{name}", action="store_const", const=name, dest="preset",
-                             help=f"resolution preset: {desc}")
-    for name, meta in SETTINGS.items():
-        extras = {key: val for key, val in meta.items() if key != "parse"}
-        if extras.get("action") != "store_true":
-            extras["type"] = meta["parse"]
-        settings.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
-                              **extras)
+    """The command parser.  Each command's parser has --config, the preset
+    group where the command reads n, and one flag per setting it reads; a
+    flag that is not given leaves no attribute, so config values stand."""
     parser = _Parser(prog="benfordxy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (_, helptext, positionals) in COMMANDS.items():
-        sp = sub.add_parser(name, help=helptext, parents=[settings])
+    for command, (_, helptext, positionals, reads) in COMMANDS.items():
+        sp = sub.add_parser(command, help=helptext)
+        sp.add_argument("--config", help="flat key = value config file")
+        if "n" in reads:  # a preset sets n, and epsilon where it is read
+            presets = sp.add_mutually_exclusive_group()
+            for name, values in PRESETS.items():
+                desc = ", ".join(f"{key} {'converged per k' if v is None else v}"
+                                 for key, v in values.items() if key in reads)
+                presets.add_argument(f"--{name}", action="store_const", const=name,
+                                     dest="preset", help=f"resolution preset: {desc}")
+        # a group's add_argument builds no help formatter per flag, as a
+        # parser's does, to check the metavar
+        settings = sp.add_argument_group("settings")
+        for name, meta in SETTINGS.items():
+            if name not in reads:
+                continue
+            extras = {key: val for key, val in meta.items() if key != "parse"}
+            if extras.get("action") != "store_true":
+                extras["type"] = meta["parse"]
+            settings.add_argument("--" + name.replace("_", "-"),
+                                  default=argparse.SUPPRESS, **extras)
         for pos, pos_help in positionals:
             sp.add_argument(pos, help=pos_help)
     return parser
 
 
 def resolve_config(args) -> RunConfig:
+    reads = COMMANDS[args.command][3]
     values = read_config_file(args.config) if args.config else {}
-    values.update(PRESETS.get(args.preset, {}))
-    flags = {name: getattr(args, name) for name in SETTINGS if hasattr(args, name)}
+    for name in values:
+        if name not in reads:
+            raise UsageError(f"{args.command} does not read config key {name!r}")
+    preset = PRESETS.get(getattr(args, "preset", None), {})
+    values.update((key, val) for key, val in preset.items() if key in reads)
+    flags = {name: getattr(args, name) for name in reads if hasattr(args, name)}
     values.update(flags)
-    for name in ("auto_n", "emit_plot"):  # the settings only profile reads
-        if values.get(name) and args.command != "profile":
-            raise UsageError(f"--{name.replace('_', '-')} applies to profile only")
-    if values.get("auto_n"):
-        if "n" in flags:
-            raise UsageError("--n and --auto-n are mutually exclusive")
-        values["n"] = None
+    if values.get("auto_n") and "n" in flags:
+        raise UsageError("--n and --auto-n are mutually exclusive")
     cfg = RunConfig(**values)
     for name, meta in SETTINGS.items():
         val = getattr(cfg, name)
@@ -237,10 +242,6 @@ def resolve_config(args) -> RunConfig:
             raise UsageError(f"{name} must be one of {meta['choices']}, got {val!r}")
     if cfg.jobs < 0:
         raise UsageError(f"jobs must be >= 0 (0 = all usable cores), got {cfg.jobs}")
-    try:
-        ObservableKind.parse(cfg.observable)  # validate early
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return cfg
 
 
@@ -501,14 +502,22 @@ def cmd_benford(cfg: RunConfig, path: str) -> int:
     return EXIT_OK
 
 
-# name -> (function, help, positional (name, help) pairs passed after the config)
+# name -> (function, help, positional (name, help) pairs passed after the
+# config, the RunConfig fields the command reads)
 COMMANDS = {
-    "observables": (cmd_observables, "dump (lambda, value) rows over a grid", ()),
-    "profile": (cmd_profile, "violation profile over sliding windows", ()),
-    "scaling": (cmd_scaling, "pseudo-critical points and scaling exponent", ()),
-    "table1": (cmd_table1, "4x4 exponent table over k and distances", ()),
+    "observables": (cmd_observables, "dump (lambda, value) rows over a grid", (),
+                    "observable gamma beta_tilde n_sites a b n k out".split()),
+    "profile": (cmd_profile, "violation profile over sliding windows", (),
+                ("observable gamma beta_tilde n_sites a b n k out w epsilon jobs "
+                 "distance auto_n emit_plot").split()),
+    "scaling": (cmd_scaling, "pseudo-critical points and scaling exponent", (),
+                ("observable gamma beta_tilde n_sites a b w epsilon n k distance "
+                 "fit_window scaling_mode lambda_c jobs out").split()),
+    "table1": (cmd_table1, "4x4 exponent table over k and distances", (),
+               ("gamma beta_tilde n_sites a b w epsilon n fit_window scaling_mode "
+                "lambda_c jobs out").split()),
     "benford": (cmd_benford, "digit-conformance report for a numeric file",
-                (("path", "file of one number per line"),)),
+                (("path", "file of one number per line"),), ["k", "distance"]),
 }
 
 
@@ -517,7 +526,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        command, _, positionals = COMMANDS[args.command]
+        command, _, positionals, _ = COMMANDS[args.command]
         return command(cfg, *(getattr(args, pos) for pos, _ in positionals))
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

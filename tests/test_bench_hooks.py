@@ -8,6 +8,7 @@ benchmark's own tests are not part of this suite.  So a rename here could
 pass every test below `tests/` and still break `perfbench/run.py`.  Each
 test runs one small command under `perfbench/child.py`'s trace or pool
 mode, as the benchmark does, and checks the spans or counters it leaves.
+Each command line the benchmark runs must also pass the CLI's parser.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from benfordxy import cli
 from benfordxy.windows import default_jobs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +30,10 @@ SPAN_TOL_S = 1e-3  # the benchmark's tolerance on the self-time sum
 _spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
+_spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+bench_run = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = bench_run  # its dataclasses look up their module
+_spec.loader.exec_module(bench_run)
 
 COMMANDS = {
     "profile-inf": (
@@ -84,3 +90,15 @@ def test_pool_run_counts_its_pool(tmp_path):
     record = _child("pool", argv, tmp_path)
     assert record["rc"] == 0
     assert record["trace"]["counters"]["windows.pool_starts"] >= 1
+
+
+def test_every_benchmark_argv_parses(tmp_path):
+    # `child.py` resolves each argv with this call before it times anything,
+    # so a flag the CLI stops taking fails here, not as a failed run
+    for table in (bench_run.WORKLOADS, bench_run.TINY):
+        for workload in table.values():
+            for seed in (0, 1, 2):
+                _, argv, _ = workload.seeded(seed)
+                for form in (argv, bench_run.serial(argv)):
+                    form = [*form, "--out", str(tmp_path)]
+                    cli.resolve_config(cli.build_parser().parse_args(form))

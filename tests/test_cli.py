@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
-import argparse
+import dataclasses
 import math
 import os
 import re
@@ -69,8 +69,8 @@ def run(argv, capsys):
         ["profile", "--n-sites", "inf", "--n", "1000001"],
         ["table1", "--n", "1000000000", "--n-sites", "14,16,18"],
         ["profile", "--auto-n", "--epsilon", "1e-5"],
-        # --auto-n and --emit-plot apply to profile only (NUMBERS: a
-        # readable numeric file)
+        # a setting the command does not read, as a flag or a config key
+        # (NUMBERS: a readable numeric file; K2CONF: a config of k = 2)
         ["observables", "--n-sites", "14", "--auto-n"],
         ["benford", "NUMBERS", "--auto-n"],
         ["observables", "--n-sites", "14", "--emit-plot"],
@@ -85,12 +85,22 @@ def run(argv, capsys):
         ["benford"],
         ["profile", "stray"],
         ["profile", "--nope"],
+        # more settings a command does not read
+        ["benford", "NUMBERS", "--jobs", "2"],
+        ["benford", "NUMBERS", "--coarse"],
+        ["table1", "--observable", "txx"],
+        ["observables", "--epsilon", "1e-3"],
+        ["profile", "--lambda-c", "0.9"],
+        ["table1", "--config", "K2CONF"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
     numbers = tmp_path / "numbers.txt"
     numbers.write_text("1.5\n23\n")
-    argv = [str(numbers) if arg == "NUMBERS" else arg for arg in argv]
+    k2conf = tmp_path / "k2.conf"
+    k2conf.write_text("k = 2\n")
+    files = {"NUMBERS": str(numbers), "K2CONF": str(k2conf)}
+    argv = [files.get(arg, arg) for arg in argv]
 
     def no_profiles(*args, **kwargs):
         raise AssertionError("a usage error must stop the run before any profile")
@@ -104,23 +114,76 @@ def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-def test_every_command_lists_each_setting_once_from_one_shared_action(capsys,
-                                                                      monkeypatch):
+def test_every_command_lists_exactly_the_settings_it_reads(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "100")
-    flags = ["--config", "--coarse", "--full"]
-    flags += ["--" + name.replace("_", "-") for name in cli.SETTINGS]
-    for name, (_, _, positionals) in cli.COMMANDS.items():
+    for name, (_, _, positionals, reads) in cli.COMMANDS.items():
         with pytest.raises(SystemExit) as exc:
             cli.main([name, "--help"])
         assert exc.value.code == 0
         # the first word of each entry, indented by two spaces, of the help
         entries = re.findall(r"^  (\S+)", capsys.readouterr().out, re.M)
-        assert sorted(entries) == sorted(["-h,"] + flags + [pos for pos, _ in positionals])
-    # the settings table is built once: each command holds the same actions
-    sub = next(action for action in cli.build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    for flag in flags:
-        assert len({id(sp._option_string_actions[flag]) for sp in sub.choices.values()}) == 1
+        flags = ["--" + setting.replace("_", "-") for setting in reads]
+        presets = ["--coarse", "--full"] if "n" in reads else []
+        assert sorted(entries) == sorted(["-h,", "--config", *presets, *flags,
+                                          *(pos for pos, _ in positionals)])
+    # every setting is read by some command, once in its list
+    assert all(len(set(reads)) == len(reads) for *_, reads in cli.COMMANDS.values())
+    assert set().union(*(reads for *_, reads in cli.COMMANDS.values())) == set(cli.SETTINGS)
+
+
+class _RecordingConfig(cli.RunConfig):
+    """A RunConfig that records each setting read from it."""
+
+    def __getattribute__(self, name):
+        if name in cli.SETTINGS:
+            object.__getattribute__(self, "seen").add(name)
+        return object.__getattribute__(self, name)
+
+
+TINY_SWEEP = ["--a", "0.9", "--b", "1.1", "--w", "0.05", "--epsilon", "0.01"]
+
+
+@pytest.mark.parametrize("argvs", [
+    # k is read to size the grid, so both an --n run and a --full run
+    [["observables", "--n-sites", "14", "--n", "50"],
+     ["observables", "--n-sites", "14", "--full"]],
+    [["profile", "--n-sites", "14", *TINY_SWEEP, "--n", "200", "--jobs", "1",
+      "--emit-plot"]],
+    [["scaling", "--n-sites", "14,20,30,40", "--epsilon", "1e-2", "--n", "100",
+      "--jobs", "1"]],
+    [["table1", "--n-sites", "14,16,18", "--epsilon", "0.02", "--n", "1000",
+      "--jobs", "1"]],
+    [["benford", "NUMBERS"]],
+], ids=lambda argvs: argvs[0][0])
+def test_each_read_list_is_what_its_command_reads(argvs, tmp_path, capsys):
+    numbers = tmp_path / "numbers.txt"
+    numbers.write_text("1.5\n23\n314\n")
+    seen = set()
+    for argv in argvs:
+        argv = [str(numbers) if arg == "NUMBERS" else arg for arg in argv]
+        command, _, positionals, reads = cli.COMMANDS[argv[0]]
+        if "out" in reads:
+            argv += ["--out", str(tmp_path / "out")]
+        args = cli.build_parser().parse_args(argv)
+        cfg = cli.resolve_config(args)
+        recording = _RecordingConfig(**dataclasses.asdict(cfg))
+        recording.seen = set()
+        assert command(recording, *(getattr(args, pos) for pos, _ in positionals)) == 0
+        seen |= recording.seen
+    capsys.readouterr()
+    assert seen == set(reads)
+
+
+def test_profile_meta_feeds_scaling_but_not_table1(tmp_path, capsys):
+    code, _, _ = run(["profile", "--n-sites", "14", *TINY_SWEEP, "--n", "200",
+                      "--jobs", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    meta = str(tmp_path / "profile.meta")
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["scaling", "--config", meta]))
+    assert (cfg.n_sites, cfg.n, cfg.epsilon) == ((14,), 200, 0.01)
+    code, _, err = run(["table1", "--config", meta], capsys)
+    assert code == 1
+    assert err == "error[usage]: table1 does not read config key 'observable'\n"
 
 
 def test_table1_single_size_is_a_usage_error(capsys):
@@ -406,6 +469,15 @@ def test_bad_config_exits_3(tmp_path, capsys, content, needle):
     assert needle in err
 
 
+# a command that reads each key, and the check its bad value meets
+BAD_VALUE_READERS = {
+    "k": ("observables", "k must be one of (1, 2, 3, 4), got 5"),
+    "distance": ("profile", "distance must be one of ('md', 'sd', 'bd'), got 'kl'"),
+    "scaling_mode": ("scaling", "scaling_mode must be one of ('fixed', 'free'), got 'loose'"),
+    "jobs": ("table1", "jobs must be >= 0 (0 = all usable cores), got -3"),
+}
+
+
 @pytest.mark.parametrize(
     "content",
     ["k = 5\n", "distance = kl\n", "scaling_mode = loose\n", "jobs = -3\n"],
@@ -414,9 +486,10 @@ def test_bad_config_values_exit_1(tmp_path, capsys, content):
     """Config values meet the same choices and jobs checks as flags."""
     conf = tmp_path / "run.conf"
     conf.write_text(content)
-    code, _, err = run(["observables", "--config", str(conf)], capsys)
+    command, message = BAD_VALUE_READERS[content.split()[0]]
+    code, _, err = run([command, "--config", str(conf)], capsys)
     assert code == 1
-    assert err.startswith("error[usage]:")
+    assert err == f"error[usage]: {message}\n"
 
 
 # ---------------------------------------------------------------- profile
