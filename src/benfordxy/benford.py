@@ -106,7 +106,9 @@ def digit_keys(values, k: int) -> np.ndarray:
     # the cast truncates, the floor of a positive value; the scaled value
     # can only leave the key range by rounding across it, which pins the
     # digits: all nines above, a 1 and zeros below
-    keys = np.clip(scaled.astype(np.int64), *key_bounds(MAX_DEPTH))
+    keys = scaled.astype(np.int64)
+    lo, hi = key_bounds(MAX_DEPTH)
+    np.minimum(np.maximum(keys, lo, out=keys), hi, out=keys)
     if k < MAX_DEPTH:
         keys //= 10 ** (MAX_DEPTH - k)
     return keys
