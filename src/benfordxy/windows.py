@@ -127,11 +127,6 @@ def _window(spec: WindowSpec, m: int) -> tuple[float, float]:
     return (spec.a + m * spec.epsilon, spec.a + spec.w + m * spec.epsilon)
 
 
-def windows(spec: WindowSpec) -> list[tuple[float, float]]:
-    """All window intervals, m = 0..m_max."""
-    return [_window(spec, m) for m in range(spec.count)]
-
-
 def midpoints(spec: WindowSpec) -> np.ndarray:
     """Window midpoints a + w/2 + m*eps, computed per-index (no accumulation)."""
     m = np.arange(spec.count)

@@ -31,6 +31,11 @@ def _identity_curve(lams):
     return np.asarray(lams, dtype=float)
 
 
+def _windows(spec):
+    """All window intervals, m = 0..count - 1, as the profiles sample them."""
+    return [W._window(spec, m) for m in range(spec.count)]
+
+
 def _same_bits(a, b):
     """Two profiles hold bit-identical midpoints and distances."""
     return (a.lambdas.tobytes(), a.deltas.tobytes()) == (
@@ -121,7 +126,7 @@ def _window_count_cases(count=200):
 )
 def test_window_count_property(a, w, eps_frac, span_factor):
     spec = W.WindowSpec(a, a + span_factor * w, w, eps_frac * w, 100)
-    wins = W.windows(spec)
+    wins = _windows(spec)
     assert len(wins) == spec.count
     assert spec.count >= 1
     # every window lies inside [a, b] up to float fuzz, and the next shift
@@ -136,7 +141,7 @@ def test_window_count_property(a, w, eps_frac, span_factor):
 
 def test_windows_and_midpoints_arithmetic():
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-3, 100)
-    wins = W.windows(spec)
+    wins = _windows(spec)
     assert wins[0] == (0.5, 0.55)
     lo7, hi7 = wins[7]
     assert lo7 == pytest.approx(0.5 + 7e-3, abs=1e-15)
@@ -260,7 +265,7 @@ def test_profile_set_consistent_with_single_profiles():
 def _violations(curve, spec, k, distance, picks=None):
     """Each picked window's (all by default) `window_violation`: one call of
     its own, so no window can read another's values."""
-    windows = W.windows(spec)
+    windows = _windows(spec)
     picks = range(len(windows)) if picks is None else picks
     return np.array([W.window_violation(curve, windows[m], spec.n, k, distance) for m in picks])
 
@@ -416,7 +421,7 @@ def test_windows_share_calls_within_the_budget(n):
     curve = _CountingCurve()
     W.profile_set(curve, spec, (1,), [("md",)], jobs=1)
     fields = np.concatenate(curve.calls)
-    want = np.concatenate([np.linspace(*window, n) for window in W.windows(spec)])
+    want = np.concatenate([np.linspace(*window, n) for window in _windows(spec)])
     assert fields.tobytes() == want.tobytes()  # windows x n fields, in order
     for fields in curve.calls:
         assert fields.size % n == 0 and fields.size <= max(W._CALL_FIELDS, n)
@@ -431,7 +436,7 @@ def test_shared_calls_keep_per_window_bits(curve):
     spec = W.WindowSpec(0.5, 1.5, 0.05, 1e-2, 200)
     for (k, d), prof in W.profile_set(curve, spec, (1, 2, 3), [("md", "sd", "bd")],
                                       jobs=1)[0].items():
-        want = [W.window_violation(curve, window, spec.n, k, d) for window in W.windows(spec)]
+        want = [W.window_violation(curve, window, spec.n, k, d) for window in _windows(spec)]
         assert prof.deltas.tobytes() == np.array(want).tobytes(), (k, d)
 
 
