@@ -11,7 +11,10 @@ extras, and the table yields both the `--flag` (the field name with `_`
 turned into `-`) and the config-file key (the field name).  Each command
 takes only the settings it reads, the read list of its `COMMANDS` entry:
 its parser has those flags, and any other known config key is a usage
-error.  Configuration comes from defaults, then an optional
+error.  A run whose first word names a command builds only that
+command's parser; without one (no words, an unknown word, `--help`) every
+command's parser is built, so help texts and usage errors read the same
+either way.  Configuration comes from defaults, then an optional
 `--config FILE` of flat `key = value` lines, then a resolution preset
 (`--coarse` or `--full`, a mutually exclusive pair, for the commands that
 read n), then explicit flags; later sources win.  A profile run writes a
@@ -191,13 +194,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command parser.  Each command's parser has --config, the preset
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command parser, with every command's parser, or only that of the
+    command named by `only`.  Each command's parser has --config, the preset
     group where the command reads n, and one flag per setting it reads; a
     flag that is not given leaves no attribute, so config values stand."""
     parser = _Parser(prog="benfordxy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, (_, helptext, positionals, reads) in COMMANDS.items():
+        if only not in (None, command):
+            continue
         sp = sub.add_parser(command, help=helptext)
         sp.add_argument("--config", help="flat key = value config file")
         if "n" in reads:  # a preset sets n, and epsilon where it is read
@@ -522,7 +528,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    words = sys.argv[1:] if argv is None else argv
+    # a run parses with its own command's parser only, which builds faster
+    # than all five; anything else (no words, an unknown word, --help) gets
+    # every command, for the top-level help and errors
+    parser = build_parser(words[0] if words and words[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)

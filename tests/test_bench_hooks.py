@@ -8,7 +8,8 @@ benchmark's own tests are not part of this suite.  So a rename here could
 pass every test below `tests/` and still break `perfbench/run.py`.  Each
 test runs one small command under `perfbench/child.py`'s trace or pool
 mode, as the benchmark does, and checks the spans or counters it leaves.
-Each command line the benchmark runs must also pass the CLI's parser.
+Each command line the benchmark runs must also pass the CLI's parsers:
+every command's, and the one `cli.main` builds for it.
 """
 
 import importlib.util
@@ -93,12 +94,16 @@ def test_pool_run_counts_its_pool(tmp_path):
 
 
 def test_every_benchmark_argv_parses(tmp_path):
-    # `child.py` resolves each argv with this call before it times anything,
-    # so a flag the CLI stops taking fails here, not as a failed run
+    # `child.py` resolves each argv with every command's parser before it
+    # times anything, and the timed `cli.main` with only the parser of the
+    # command the argv names, so a flag either stops taking fails here, not
+    # as a failed run
     for table in (bench_run.WORKLOADS, bench_run.TINY):
         for workload in table.values():
             for seed in (0, 1, 2):
                 _, argv, _ = workload.seeded(seed)
                 for form in (argv, bench_run.serial(argv)):
                     form = [*form, "--out", str(tmp_path)]
-                    cli.resolve_config(cli.build_parser().parse_args(form))
+                    assert form[0] in cli.COMMANDS
+                    for parser in (cli.build_parser(), cli.build_parser(form[0])):
+                        cli.resolve_config(parser.parse_args(form))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import dataclasses
 import math
 import os
@@ -23,84 +24,84 @@ def run(argv, capsys):
 # ------------------------------------------------------------ usage errors
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["observables", "--observable", "qq"],
-        ["observables", "--k", "5"],
-        ["profile", "--distance", "kl"],
-        ["scaling", "--fit-window", "0.8"],
-        ["profile", "--coarse", "--full"],
-        ["profile", "--n", "5000", "--auto-n"],
-        ["scaling", "--n-sites", "14"],
-        ["scaling", "--n-sites", "14", "--n-sites", "20"],
-        ["scaling", "--n-sites", "inf"],
-        ["observables", "--n-sites", "14", "--n-sites", "20"],
-        ["observables", "--n", "0"],
-        ["scaling", "--auto-n"],
-        ["table1", "--auto-n"],
-        ["table1", "--n-sites", "14,20,inf"],
-        ["scaling", "--n-sites", "14,20,20"],
-        ["table1", "--n-sites", "14", "--n-sites", "14", "--n-sites", "20"],
-        ["scaling", "--scaling-mode", "free", "--n-sites", "14,20,24"],
-        ["table1", "--scaling-mode", "free", "--n-sites", "14,20,24"],
-        ["profile", "--jobs", "-3"],
-        ["table1", "--beta-tilde", "5", "--n-sites", "14,16,18"],
-        ["scaling", "--n-sites", "14,15,20"],
-        ["table1", "--n-sites", "2,14,20"],
-        ["profile", "--n-sites", "15"],
-        ["observables", "--n-sites", "15"],
-        ["observables", "--gamma", "0"],
-        ["profile", "--observable", "g:30", "--n-sites", "14"],
-        ["observables", "--observable", "txx", "--beta-tilde", "5"],
-        ["scaling", "--observable", "g:8", "--n-sites", "20,18,14"],
-        ["profile", "--n-sites", "14", "--gamma", "nan"],
-        ["observables", "--n-sites", "14", "--gamma", "nan"],
-        ["observables", "--n-sites", "14", "--gamma", "1e160"],
-        ["observables", "--n-sites", "inf", "--gamma=-1e200"],
-        ["profile", "--n-sites", "40", "--gamma", "1e151"],
-        ["profile", "--n-sites", "inf", "--gamma", "1e160"],
-        ["table1", "--gamma=-1e160", "--n-sites", "14,16,18"],
-        ["profile", "--epsilon", "1e-9"],
-        ["table1", "--epsilon", "1e-9", "--n-sites", "14,16,18"],
-        # past the samples caps: per window, and per sweep (95 001 windows
-        # at --auto-n's largest n, 160 000)
-        ["profile", "--n", "1000000000"],
-        ["profile", "--n-sites", "inf", "--n", "1000001"],
-        ["table1", "--n", "1000000000", "--n-sites", "14,16,18"],
-        ["profile", "--auto-n", "--epsilon", "1e-5"],
-        # a setting the command does not read, as a flag or a config key
-        # (NUMBERS: a readable numeric file; K2CONF: a config of k = 2)
-        ["observables", "--n-sites", "14", "--auto-n"],
-        ["benford", "NUMBERS", "--auto-n"],
-        ["observables", "--n-sites", "14", "--emit-plot"],
-        ["benford", "NUMBERS", "--emit-plot"],
-        # an observables grid past the per-window samples cap
-        ["observables", "--n-sites", "40", "--n", "1000001"],
-        # an offset past the float range is an offset beyond N/2 all the same
-        ["observables", "--n-sites", "40", "--observable", "g:" + "9" * 400],
-        # no command, an unknown command, a missing path, stray words and flags
-        [],
-        ["frobnicate"],
-        ["benford"],
-        ["profile", "stray"],
-        ["profile", "--nope"],
-        # more settings a command does not read
-        ["benford", "NUMBERS", "--jobs", "2"],
-        ["benford", "NUMBERS", "--coarse"],
-        ["table1", "--observable", "txx"],
-        ["observables", "--epsilon", "1e-3"],
-        ["profile", "--lambda-c", "0.9"],
-        ["table1", "--config", "K2CONF"],
-    ],
-)
-def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
+USAGE_ERRORS = [
+    ["observables", "--observable", "qq"],
+    ["observables", "--k", "5"],
+    ["profile", "--distance", "kl"],
+    ["scaling", "--fit-window", "0.8"],
+    ["profile", "--coarse", "--full"],
+    ["profile", "--n", "5000", "--auto-n"],
+    ["scaling", "--n-sites", "14"],
+    ["scaling", "--n-sites", "14", "--n-sites", "20"],
+    ["scaling", "--n-sites", "inf"],
+    ["observables", "--n-sites", "14", "--n-sites", "20"],
+    ["observables", "--n", "0"],
+    ["scaling", "--auto-n"],
+    ["table1", "--auto-n"],
+    ["table1", "--n-sites", "14,20,inf"],
+    ["scaling", "--n-sites", "14,20,20"],
+    ["table1", "--n-sites", "14", "--n-sites", "14", "--n-sites", "20"],
+    ["scaling", "--scaling-mode", "free", "--n-sites", "14,20,24"],
+    ["table1", "--scaling-mode", "free", "--n-sites", "14,20,24"],
+    ["profile", "--jobs", "-3"],
+    ["table1", "--beta-tilde", "5", "--n-sites", "14,16,18"],
+    ["scaling", "--n-sites", "14,15,20"],
+    ["table1", "--n-sites", "2,14,20"],
+    ["profile", "--n-sites", "15"],
+    ["observables", "--n-sites", "15"],
+    ["observables", "--gamma", "0"],
+    ["profile", "--observable", "g:30", "--n-sites", "14"],
+    ["observables", "--observable", "txx", "--beta-tilde", "5"],
+    ["scaling", "--observable", "g:8", "--n-sites", "20,18,14"],
+    ["profile", "--n-sites", "14", "--gamma", "nan"],
+    ["observables", "--n-sites", "14", "--gamma", "nan"],
+    ["observables", "--n-sites", "14", "--gamma", "1e160"],
+    ["observables", "--n-sites", "inf", "--gamma=-1e200"],
+    ["profile", "--n-sites", "40", "--gamma", "1e151"],
+    ["profile", "--n-sites", "inf", "--gamma", "1e160"],
+    ["table1", "--gamma=-1e160", "--n-sites", "14,16,18"],
+    ["profile", "--epsilon", "1e-9"],
+    ["table1", "--epsilon", "1e-9", "--n-sites", "14,16,18"],
+    # past the samples caps: per window, and per sweep (95 001 windows
+    # at --auto-n's largest n, 160 000)
+    ["profile", "--n", "1000000000"],
+    ["profile", "--n-sites", "inf", "--n", "1000001"],
+    ["table1", "--n", "1000000000", "--n-sites", "14,16,18"],
+    ["profile", "--auto-n", "--epsilon", "1e-5"],
+    # a setting the command does not read, as a flag or a config key
+    # (NUMBERS: a readable numeric file; K2CONF: a config of k = 2)
+    ["observables", "--n-sites", "14", "--auto-n"],
+    ["benford", "NUMBERS", "--auto-n"],
+    ["observables", "--n-sites", "14", "--emit-plot"],
+    ["benford", "NUMBERS", "--emit-plot"],
+    # an observables grid past the per-window samples cap
+    ["observables", "--n-sites", "40", "--n", "1000001"],
+    # an offset past the float range is an offset beyond N/2 all the same
+    ["observables", "--n-sites", "40", "--observable", "g:" + "9" * 400],
+    # no command, an unknown command, a missing path, stray words and flags
+    [],
+    ["frobnicate"],
+    ["benford"],
+    ["profile", "stray"],
+    ["profile", "--nope"],
+    # more settings a command does not read
+    ["benford", "NUMBERS", "--jobs", "2"],
+    ["benford", "NUMBERS", "--coarse"],
+    ["table1", "--observable", "txx"],
+    ["observables", "--epsilon", "1e-3"],
+    ["profile", "--lambda-c", "0.9"],
+    ["table1", "--config", "K2CONF"],
+]
+
+
+def _usage_argv(argv, monkeypatch, tmp_path):
+    """argv with its NUMBERS and K2CONF files written, and every profile
+    function replaced by one that fails."""
     numbers = tmp_path / "numbers.txt"
     numbers.write_text("1.5\n23\n")
     k2conf = tmp_path / "k2.conf"
     k2conf.write_text("k = 2\n")
     files = {"NUMBERS": str(numbers), "K2CONF": str(k2conf)}
-    argv = [files.get(arg, arg) for arg in argv]
 
     def no_profiles(*args, **kwargs):
         raise AssertionError("a usage error must stop the run before any profile")
@@ -108,10 +109,66 @@ def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "profile_set", no_profiles)
     monkeypatch.setattr(cli, "profile_windows", no_profiles)
     monkeypatch.setattr(cli, "convergence_check", no_profiles)
-    code, _, err = run(argv, capsys)
+    return [files.get(arg, arg) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_exit_1(argv, capsys, monkeypatch, tmp_path):
+    code, _, err = run(_usage_argv(argv, monkeypatch, tmp_path), capsys)
     assert code == 1
     assert err.startswith("error[usage]:") or "error[usage]:" in err
     assert len(err.splitlines()) == 1
+
+
+def _subparsers(parser) -> dict:
+    """{command name: its parser} of a parser from `cli.build_parser`."""
+    (sub,) = (act for act in parser._actions
+              if isinstance(act, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_a_run_builds_only_its_own_commands_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    code, _, _ = run(["profile", "--n-sites", "14", *TINY_SWEEP, "--n", "200",
+                      "--jobs", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    # no command, --help and an unknown word need every command's parser
+    assert cli.main([]) == 1
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert cli.main(["bogus"]) == 1
+    capsys.readouterr()
+    assert [list(_subparsers(parser)) for parser in built] == [
+        ["profile"], *[list(cli.COMMANDS)] * 3]
+
+
+def test_a_runs_parser_prints_the_full_parsers_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    full = cli.build_parser()
+    helps = [([name, "--help"], sp.format_help())
+             for name, sp in _subparsers(full).items()]
+    for argv, text in [*helps, (["--help"], full.format_help())]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_read_the_same_with_every_commands_parser(argv, capsys,
+                                                               monkeypatch, tmp_path):
+    argv = _usage_argv(argv, monkeypatch, tmp_path)
+    slim = run(argv, capsys)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: build())
+    assert run(argv, capsys) == slim
 
 
 def test_every_command_lists_exactly_the_settings_it_reads(capsys, monkeypatch):
