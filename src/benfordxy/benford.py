@@ -13,12 +13,13 @@ sample count.  Every value is keyed at depth 4, and depth k keeps the
 first k digits of that key.  The decade e of |x| is the last decade whose
 start, the least double not below 10^e, is at or below |x|, so e follows
 the stored double (1e23, stored below its power, keys as 9).
-`digit_keys` reads it from the exponent bits of |x|, which fix e to
-within one, and one compare with the next decade's start.  Then
-|x| * 10^(3-e) is rounded once (a multiply, or for e >= 4 a divide by
-10^(e-3)) before the truncation, which can lift a double just below a
-4-digit decimal onto it (0.7 keys as 7000, and 0.123 as 1230).  Keying
-calls no libm function.
+`digit_keys` reads it per binade: the exponent bits of |x| fix e to
+within one, and two tables indexed by those bits hold, for each binade,
+the start of the next decade and the scale of each of the two decades.
+One compare with that start picks the scale, and |x| * 10^(3-e) is
+rounded once (a multiply, or for e >= 4 a divide by 10^(e-3)) before the
+truncation, which can lift a double just below a 4-digit decimal onto it
+(0.7 keys as 7000, and 0.123 as 1230).  Keying calls no libm function.
 """
 
 from __future__ import annotations
@@ -64,6 +65,26 @@ def _pow10_tables() -> tuple[np.ndarray, np.ndarray]:
 _POW10, _DECADE_START = _pow10_tables()
 
 
+def _binade_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per-binade tables, indexed by the biased exponent b of |x|: the start
+    of the decade after e0 at b, and at 2b and 2b + 1 the scale of the
+    decades e0 and e0 + 1 (the multiplier 10**(3-e) below decade
+    MAX_DEPTH, the divisor 10**(e-3) from it on).
+
+    |x| lies in the binade [2**j, 2**(j+1)) of b = j + 1023, which spans
+    0.301 of a decade, so its decade is e0 = floor(j log10 2) =
+    (j * 78913) >> 18 (exact for every normal j) or e0 + 1."""
+    e0 = ((np.arange(2048) - 1023) * 78913) >> 18
+    starts = _DECADE_START[e0 + (_POW_RANGE + 1)]
+    e = np.stack([e0, e0 + 1], axis=1).ravel()
+    scales = _POW10[_POW_RANGE + np.abs(e - (MAX_DEPTH - 1))]
+    return starts, scales
+
+
+_BINADE_START, _BINADE_SCALE = _binade_tables()
+_DIVIDE_FROM = _POW10[_POW_RANGE + MAX_DEPTH]  # 10**4: the scales are divisors from here
+
+
 def _check_depth(k: int):
     if not 1 <= k <= MAX_DEPTH:
         raise ValueError(f"digit depth must be in 1..{MAX_DEPTH}, got {k}")
@@ -81,32 +102,34 @@ def digit_keys(values, k: int) -> np.ndarray:
 
     Every value is keyed at depth 4, and depth k keeps the first k digits
     of that key, so a key never depends on the depth asked for.  The
-    decade e of |x| comes from its exponent bits and one compare with the
-    next decade's start; then one correctly rounded scaling by 10**(3-e)
-    (a divide by 10**(e-3) when |x| >= 10**4, since 10**-q is never a
-    double) and a truncation.
+    exponent bits of |x| index per-binade tables: one compare with the
+    next decade's start read there picks the decade e, and the table's
+    scale for it gives one correctly rounded scaling by 10**(3-e) (a
+    divide by 10**(e-3) when |x| >= 10**4, since 10**-q is never a
+    double), then a truncation.  No libm function is called.
     """
     _check_depth(k)
     if not np.ndim(values):  # a scalar is keyed as a 1-element array
         return digit_keys(np.reshape(values, 1), k)[0]
-    ax = _magnitudes(values)
-    # |x| lies in the binade [2**j, 2**(j+1)) of its biased exponent
-    # j + 1023, and a binade spans 0.301 of a decade, so e is
-    # floor(j log10 2) = (j * 78913) >> 18 (exact for every normal j) or
-    # one more
-    e = ax.view(np.int64) >> 52
-    e -= 1023
-    e *= 78913
-    e >>= 18
-    e += ax >= _DECADE_START[e + (_POW_RANGE + 1)]
-    scaled = ax * _POW10[(_POW_RANGE + MAX_DEPTH - 1) - e]
-    if e.max(initial=0) >= MAX_DEPTH:  # the divide pass only where needed
-        np.divide(ax, _POW10[(_POW_RANGE + 1 - MAX_DEPTH) + e], out=scaled,
-                  where=e >= MAX_DEPTH)
-    # the cast truncates, the floor of a positive value; the scaled value
-    # can only leave the key range by rounding across it, which pins the
-    # digits: all nines above, a 1 and zeros below
-    keys = scaled.astype(np.int64)
+    ax, largest = _magnitudes(values)
+    # every index is in range (b is 1..2046 after the lift); mode="wrap"
+    # only spares take its bounds check
+    index = ax.view(np.int64) >> 52  # the biased exponent b
+    upper = ax >= np.take(_BINADE_START, index, mode="wrap")
+    index <<= 1
+    index += upper  # 2b for the decade e0, 2b + 1 for e0 + 1
+    scaled = np.take(_BINADE_SCALE, index, mode="wrap")
+    if largest >= _DIVIDE_FROM:  # the divide pass only where needed
+        divide = ax >= _DIVIDE_FROM
+        np.divide(ax, scaled, out=scaled, where=divide)
+        np.multiply(ax, scaled, out=scaled, where=~divide)
+    else:
+        scaled *= ax
+    # the cast truncates (as astype does), the floor of a positive value;
+    # the scaled value can only leave the key range by rounding across it,
+    # which pins the digits: all nines above, a 1 and zeros below
+    keys = index  # reused: the index is no longer needed
+    np.copyto(keys, scaled, casting="unsafe")
     lo, hi = key_bounds(MAX_DEPTH)
     np.minimum(np.maximum(keys, lo, out=keys), hi, out=keys)
     if k < MAX_DEPTH:
@@ -114,21 +137,28 @@ def digit_keys(values, k: int) -> np.ndarray:
     return keys
 
 
-def _magnitudes(values) -> np.ndarray:
-    """|values| as a new float array, near-denormals lifted by 1e300 so that
-    every magnitude is a normal double (its exponent bits give its binade)
-    and the 10**(3-e) scale factor stays finite; zeros, infs and NaNs
-    refused."""
-    ax = np.abs(np.asarray(values, dtype=float))
-    if ax.size:
-        # a NaN makes the minimum NaN, which fails the test as 0 does
-        smallest, largest = ax.min(), ax.max()
-        if not (smallest > 0.0 and largest < math.inf):
-            raise ValueError("digit extraction requires nonzero finite values")
-        if smallest < 1e-290:
-            tiny = ax < 1e-290
-            ax[tiny] *= 1e300
-    return ax
+def _magnitudes(values) -> tuple[np.ndarray, float]:
+    """|values| as a float array, and its maximum; near-denormals lifted by
+    1e300 so that every magnitude is a normal double (its exponent bits
+    give its binade) and the 10**(3-e) scale factor stays finite, the
+    maximum taken after the lift; zeros, infs and NaNs refused.  Positive
+    values come back as the caller's array when no value is lifted, so it
+    must not be written to."""
+    ax = np.asarray(values, dtype=float)
+    if not ax.size:
+        return ax, 0.0
+    # a NaN makes the minimum NaN, which fails the tests as 0 does
+    smallest = ax.min()
+    if not smallest > 0.0:
+        ax = np.abs(ax)
+        smallest = ax.min()
+    largest = ax.max()
+    if not (smallest > 0.0 and largest < math.inf):
+        raise ValueError("digit extraction requires nonzero finite values")
+    if smallest < 1e-290:  # a new array: the others are multiplied by 1
+        ax = ax * np.where(ax < 1e-290, 1e300, 1.0)
+        largest = ax.max()
+    return ax, largest
 
 
 @functools.cache
@@ -212,10 +242,12 @@ def combo_distances(nonzero, combos) -> list[float]:
     combo, every depth from one `key_histograms` pass, the expected table
     per depth from a cache by (k, value count) (every depth's counts sum
     to the value count), and one O - E per depth for all its distances."""
-    counts = key_histograms(nonzero, {k for k, _ in combos})
-    expected = {k: _benford_expected(k, np.size(nonzero)) for k in counts}
-    deviations = {k: counts[k] - expected[k][0] for k in counts}
-    return [_RAW_DISTANCES[d](counts[k], expected[k], deviations[k]) for k, d in combos]
+    size = np.size(nonzero)
+    args = {}
+    for k, counts in key_histograms(nonzero, {k for k, _ in combos}).items():
+        expected = _benford_expected(k, size)
+        args[k] = (counts, expected, counts - expected[0])
+    return [_RAW_DISTANCES[d](*args[k]) for k, d in combos]
 
 
 def _check_pair(observed: FrequencyTable, expected: FrequencyTable):
@@ -262,17 +294,17 @@ _Expected = tuple[np.ndarray, np.ndarray | None]
 def _delta_md(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
     dev = np.abs(dev)
     dev /= exp[0]
-    return float(dev.sum())
+    return float(np.add.reduce(dev))
 
 
 def _delta_sd(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
-    return float(np.sqrt((dev * dev).sum()))
+    return math.sqrt(np.add.reduce(dev * dev))
 
 
 def _delta_bd(obs: np.ndarray, exp: _Expected, dev: np.ndarray) -> float:
-    o = obs / obs.sum()
+    o = obs / np.add.reduce(obs)
     o *= exp[1]
-    bc = float(np.sqrt(o, out=o).sum())
+    bc = float(np.add.reduce(np.sqrt(o, out=o)))
     return max(0.0, -math.log(bc))
 
 

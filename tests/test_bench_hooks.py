@@ -76,6 +76,8 @@ def test_traced_run_closes_its_spans_and_reaches_every_layer(name, tmp_path):
         assert calls > 0 and seconds > 0.0, layer
     metrics = tracer.layer_metrics(dump)
     assert metrics["benford.keys"] > 0
+    if name == "table1":  # 48 windows x 3 sizes x 16 combos, each one call
+        assert metrics["benford.distance_calls"] == 48 * 3 * 16
     if "quadrature" in layers:
         assert metrics["quadrature.calls"] > 0
         assert metrics["quadrature.integrand_evals"] == metrics["quadrature.calls"]

@@ -132,7 +132,7 @@ def test_digit_keys_equal_lookup_keys():
     for k in (1, 2, 3, 4):
         vals = np.concatenate([common, _decimal_neighbours(k)])
         keys = benford.digit_keys(vals, k)
-        want = _lookup_keys(benford._magnitudes(vals), k)
+        want = _lookup_keys(benford._magnitudes(vals)[0], k)
         mismatched = np.flatnonzero(keys != want)
         assert mismatched.size == 0, (k, vals[mismatched[:5]])
 
@@ -180,7 +180,7 @@ def test_exact_keys_equal_reference_keys():
         # multiply by its reciprocal rounds twice and misses some
         large = np.array([float(f"{m}e{j}") for m, j in zip(
             rng.integers(10 ** (k - 1), 10**k, 500), rng.integers(k, 300, 500))])
-        ax = benford._magnitudes(np.concatenate([
+        ax, _ = benford._magnitudes(np.concatenate([
             common, decimals, large, np.nextafter(large, 0.0), np.nextafter(large, np.inf)]))
         want = [reference_key(x, k) for x in ax.tolist()]
         for got in (benford.digit_keys(ax, k), _lookup_keys(ax, k)):
@@ -193,14 +193,24 @@ def test_decade_guess_is_the_exact_floor():
     # (j * 78913) >> 18, which must be floor(j log10 2) for the biased
     # exponent j + 1023 of every normal double (checked by exact powers);
     # the first and the last double of each binade then key as the lookup
+    origin = benford._POW_RANGE
     for j in range(1 - 1023, 2047 - 1023):
         g = (j * 78913) >> 18
         assert Fraction(10) ** g <= Fraction(2) ** j < Fraction(10) ** (g + 1), j
+        # digit_keys reads the decade's two candidates from tables by the
+        # biased exponent b: the next decade's start, and each one's scale
+        # (a multiplier 10**(3-e) below decade 4, a divisor 10**(e-3) from it)
+        b = j + 1023
+        assert benford._BINADE_START[b] == benford._DECADE_START[g + 1 + origin], b
+        for c in (0, 1):
+            e = g + c
+            power = 3 - e if e < benford.MAX_DEPTH else e - 3
+            assert benford._BINADE_SCALE[2 * b + c] == benford._POW10[power + origin], (b, c)
     first = (np.arange(1, 2047, dtype=np.int64) << 52).view(float)
     edges = np.concatenate([first, np.nextafter(first[1:], 0.0), [np.finfo(float).max]])
     for k in (1, 2, 3, 4):
         got = benford.digit_keys(edges, k)
-        want = _lookup_keys(benford._magnitudes(edges), k)
+        want = _lookup_keys(benford._magnitudes(edges)[0], k)
         mismatched = np.flatnonzero(got != want)
         assert mismatched.size == 0, (k, edges[mismatched[:5]])
 
@@ -219,6 +229,18 @@ def test_digit_keys_denormal_range():
     vals = np.array([3.7e-300, 9.99e-308, 1.2e-310])
     assert list(benford.digit_keys(vals, 1)) == [3, 9, 1]
     assert list(benford.digit_keys(vals, 2)) == [37, 99, 11]
+
+
+def test_digit_keys_lifted_past_the_divide_bound():
+    # lifted by 1e300 these reach 5e5 and 1.234e8, past 10**4, so they take
+    # the divide pass although every input is below 1e-290: the pass must
+    # be decided by the largest magnitude after the lift
+    tiny = [5e-295, 1.234e-292]
+    for vals in (tiny, [tiny[0], 0.5, tiny[1]]):
+        for k in (1, 2, 3, 4):
+            keys = benford.digit_keys(np.array(vals), k)
+            unit = 10 ** (4 - k)
+            assert [keys[0], keys[-1]] == [5000 // unit, 1234 // unit], (vals, k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -485,6 +507,50 @@ def test_combo_distances_equal_the_public_distances():
     cached = benford._benford_expected(2, 1000)
     assert cached is benford._benford_expected(2, 1000)
     assert not any(table.flags.writeable for table in cached)
+
+
+def _combo_cases(count=60):
+    """Seeded windows: the nonzero min-max normalized samples of smooth
+    curves (as the profiles key them), log-normal draws and signed draws
+    over six decades, each with a seeded list of combos in any order,
+    repeats included."""
+    rng = np.random.default_rng(13)
+    names = sorted(benford.DISTANCES)
+    cases = []
+    for i in range(count):
+        size = int(rng.integers(1, 3000))
+        if i % 3 == 0:
+            t = np.linspace(0.0, 1.0, size + 1)
+            curve = np.exp(rng.uniform(-3.0, 3.0) * t) + rng.uniform(-1.0, 1.0) * t**2
+            x = (curve - curve.min()) / (curve.max() - curve.min())
+            x = x[x != 0.0]
+        elif i % 3 == 1:
+            x = rng.lognormal(0.0, rng.uniform(0.1, 5.0), size)
+        else:
+            x = rng.choice([-1.0, 1.0], size) * rng.uniform(1e-3, 1e3, size)
+        combos = [(int(k), names[d]) for k, d in zip(
+            rng.integers(1, 5, rng.integers(1, 16)), rng.integers(0, 3, 16))]
+        cases.append(dict(x=x, combos=combos))
+    return cases
+
+
+@pinned_examples(_combo_cases())
+@given(
+    x=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1).map(np.array),
+    combos=st.lists(st.tuples(st.integers(1, 4), st.sampled_from(sorted(benford.DISTANCES))),
+                    min_size=1),
+)
+def test_combo_distances_keep_each_combo_alone(x, combos):
+    # each (k, d) of a combo list keeps the bits it has alone and the bits
+    # of the public distance: the distances of one depth share its O and
+    # O - E, and none may change them for the next
+    got = benford.combo_distances(x, combos)
+    assert len(got) == len(combos)
+    for (k, d), value in zip(combos, got):
+        assert value == benford.combo_distances(x, [(k, d)])[0], (k, d)
+        observed = benford.observed_table(x, k)
+        want = benford.DISTANCES[d](observed, benford.expected_table(x.size, k))
+        assert value == want, (k, d)
 
 
 def test_distance_validation():
